@@ -20,6 +20,9 @@ from .errors import CapExceeded, HomologyError, HurwitzError, ParseError
 from .groups import FiniteGroup, GammaSet, load_group, make_gamma
 from .homology import h2_order, h2_structure
 from .stability import (
+    DEFAULT_CONFIRM,
+    DEFAULT_EQ_WINDOW,
+    DEFAULT_WINDOW,
     find_stability_bound,
     make_stabilizer,
     stable_equivalent,
@@ -40,7 +43,6 @@ class RunConfig:
     cache: str | None
     fmt: str
     workers: int
-    seed: int | None
     window: int
     confirm: int
 
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, window: int = DEFAULT_WINDOW) -> None:
         p.add_argument("--group", required=True,
                        help="builtin spec (e.g. sym:3, cyclic:2xcyclic:2) or a table file path")
         p.add_argument("--gamma", default=None,
@@ -336,11 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="pretty", choices=("jsonl", "tsv", "pretty"))
         p.add_argument("--workers", type=int, default=1,
                        help="concurrent independent-fiber enumerations (direct method)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="recorded in the run configuration; drives sampled validations")
-        p.add_argument("--window", type=int, default=4,
+        p.add_argument("--window", type=int, default=window,
                        help="how many stabiliser appends to explore")
-        p.add_argument("--confirm", type=int, default=2,
+        p.add_argument("--confirm", type=int, default=DEFAULT_CONFIRM,
                        help="bijective levels required to close a window confidently")
 
     p_orbit = sub.add_parser("orbit", help="expand one braid orbit")
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_h2.set_defaults(func=_cmd_h2)
 
     p_eq = sub.add_parser("stable-eq", help="decide stable equivalence of two tuples")
-    common(p_eq)
+    common(p_eq, window=DEFAULT_EQ_WINDOW)
     p_eq.add_argument("--left", required=True, help="first tuple")
     p_eq.add_argument("--right", required=True, help="second tuple")
     p_eq.add_argument("--stabilizer", default="ugamma",
@@ -390,7 +390,6 @@ def main(argv: list[str] | None = None) -> int:
         cache=args.cache,
         fmt=args.format,
         workers=max(1, args.workers),
-        seed=args.seed,
         window=args.window,
         confirm=args.confirm,
     )

@@ -22,12 +22,12 @@ class ParseError(HurwitzError, ValueError):
 class CapExceeded(HurwitzError, RuntimeError):
     """An enumeration outgrew its configured cap.
 
-    ``visited`` carries the number of states reached before aborting, so a
-    failed run still reports how far it got.
+    ``visited`` carries the number of states (or ``unit``) reached before
+    aborting, so a failed run still reports how far it got.
     """
 
-    def __init__(self, message: str, visited: int):
-        super().__init__(f"{message} (visited {visited} states)")
+    def __init__(self, message: str, visited: int, unit: str = "states"):
+        super().__init__(f"{message} (visited {visited} {unit})")
         self.visited = visited
 
 

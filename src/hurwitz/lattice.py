@@ -7,12 +7,15 @@ same state are connected by braid moves fixing the last strand, so an orbit
 is exactly a closed union of state fibers.  The closure of a start state
 under the last-strand move
 
-    q + (b, a)  ->  q + (a, b^a)        (and its inverse)
+    q + (b, a)  ->  q + (a, b^a)
 
 can therefore be computed on states alone; the recursive identification of
-the shortened prefixes lands one level down and is memoised.  Canonical
-(lexicographically minimal) representatives and exact orbit sizes fall out
-of the same recursion:
+the shortened prefixes lands one level down and is memoised.  The inverse
+move is not needed: the tuples of a closed state set are closed under the
+moves on the prefix and under this move, and a permutation of a finite set
+has its inverse among its powers, so the set is already a whole orbit.
+Canonical (lexicographically minimal) representatives and exact orbit sizes
+fall out of the same recursion:
 
     canon(X) = min over states (c, a) of canon(c) + (a,)
     size(X)  = sum over states (c, a) of size(c)
@@ -22,12 +25,16 @@ touching only as many nodes as there are classes below X.  Orbit sizes at
 deep levels are astronomical; canonical representatives stay a few dozen
 letters long.
 
-Every class ever identified is interned, so equivalence of two tuples is a
-fold of `append` calls followed by an id comparison, and complete class
-sets per Nielsen type come from extending the complete sets one level
-below (every class has a representative ending in any class with positive
-count, because braid moves carry an entry to the last slot within its
-conjugacy class).
+A state is packed as the single int c * n + a (n the group order); a node
+keeps its states as a sorted tuple of these ints, which is the order of the
+(c, a) pairs.  The same int is the key of the one memo, which maps every
+state of every class built to its node.  Equivalence of two tuples is
+therefore a fold of `append` calls followed by an id comparison, and a memo
+miss on a start state always begins a new class.  Complete class sets per
+Nielsen type come from extending the complete sets one level below (every
+class has a representative ending in any class with positive count,
+because braid moves carry an entry to the last slot within its conjugacy
+class).
 """
 
 from __future__ import annotations
@@ -42,18 +49,18 @@ from .groups import FiniteGroup, SubgroupMask, closure_bits
 class OrbitLattice:
     def __init__(self, G: FiniteGroup, max_nodes: int = DEFAULT_CAPS.lattice_nodes):
         self.G = G
-        self.max_nodes = max_nodes
         # identification recurses one level per letter; allow long words
         if sys.getrecursionlimit() < 10_000:
             sys.setrecursionlimit(10_000)
         n = G.order
         self._n = n
-        self._use_bytes = n <= 256
+        # _fwd[a][b] = b^a: the new last letter when a moves left past b
+        self._fwd = list(zip(*G.conj_table))
         ct = G.classes
         self._class_of = ct.class_of
         self._nclasses = ct.count
         # node storage, parallel lists indexed by node id
-        self._states: list[tuple[int, ...]] = []  # flat (child, letter) pairs
+        self._states: list[tuple[int, ...]] = []  # sorted states c * n + a
         self._size: list[int] = []
         self._ev: list[int] = []
         self._sub: list[int] = []
@@ -61,11 +68,17 @@ class OrbitLattice:
         self._canon: list = []
         self._levels: dict[tuple[int, ...], int] = {}
         self._level_list: list[tuple[int, ...]] = []
-        self._intern: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._append_memo: dict[int, int] = {}
+        self._append_memo: dict[int, int] = {}  # state -> node of its class
         self._classes_at: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._sub_memo: dict[tuple[int, int], int] = {}
         self._first_letters: dict[int, int] = {}
+        # canonical representatives are bytes when every letter fits in one
+        if n <= 256:
+            self._letters: list = [bytes((a,)) for a in range(n)]
+            empty = b""
+        else:
+            self._letters = [(a,) for a in range(n)]
+            empty = ()
         # node 0: the empty tuple's class
         zero = (0,) * self._nclasses
         self._levels[zero] = 0
@@ -75,7 +88,8 @@ class OrbitLattice:
         self._ev.append(0)
         self._sub.append(1)  # {identity}
         self._level_id.append(0)
-        self._canon.append(b"" if self._use_bytes else ())
+        self._canon.append(empty)
+        self.limit_new_nodes(max_nodes)
 
     # -- accessors ---------------------------------------------------------
 
@@ -124,67 +138,77 @@ class OrbitLattice:
             self._sub_memo[key] = hit
         return hit
 
+    def limit_new_nodes(self, limit: int) -> None:
+        """Let the lattice grow by at most ``limit`` nodes from its current size."""
+        self._cap_base = len(self._size)
+        self.max_nodes = self._cap_base + limit
+
     def append(self, node: int, g: int) -> int:
         """Class of rep(node) + (g,): the one-letter extension."""
+        # the builder lives apart so that a memo hit runs in a short frame
+        hit = self._append_memo.get(node * self._n + g)
+        if hit is None:
+            hit = self._new_class(node, g)
+        return hit
+
+    def _new_class(self, node: int, g: int) -> int:
+        """Build the class of rep(node) + (g,), whose start state is no memo key.
+
+        The memo holds every state of every class built, so the start state
+        begins a new class; misses inside the closure only reach lower levels.
+        """
         n = self._n
-        key = node * n + g
-        hit = self._append_memo.get(key)
-        if hit is not None:
-            return hit
-        conj = self.G.conj_table
-        inv = self.G.inv
-        start = (node, g)
+        memo = self._append_memo
+        fwd_of = self._fwd
+        new_class = self._new_class
+        states_of = self._states
+        start = node * n + g
         seen = {start}
         stack = [start]
-        append = self.append
-        states_of = self._states
+        pop, push, add = stack.pop, stack.append, seen.add
         while stack:
-            c, a = stack.pop()
-            st = states_of[c]
-            for k in range(0, len(st), 2):
-                c2, b = st[k], st[k + 1]
+            p = pop()
+            a = p % n
+            fwd = fwd_of[a]
+            for q in states_of[p // n]:
+                b = q % n
+                base = q - b
                 # forward move on the last two strands: (b, a) -> (a, b^a)
-                s1 = (append(c2, a), conj[b][a])
-                if s1 not in seen:
-                    seen.add(s1)
-                    stack.append(s1)
-                # inverse move: (b, a) -> (b a b^-1, b)
-                s2 = (append(c2, conj[a][inv[b]]), b)
-                if s2 not in seen:
-                    seen.add(s2)
-                    stack.append(s2)
-        flat: list[int] = []
-        for c, a in sorted(seen):
-            flat.append(c)
-            flat.append(a)
-        states = tuple(flat)
+                try:
+                    child = memo[base + a]
+                except KeyError:
+                    child = new_class(base // n, a)
+                s = child * n + fwd[b]
+                if s not in seen:
+                    add(s)
+                    push(s)
+        states = tuple(sorted(seen))
         base_level = self.level(node)
         cid = self._class_of[g]
         level = base_level[:cid] + (base_level[cid] + 1,) + base_level[cid + 1 :]
-        lid = self._level_index(level)
-        ikey = (lid, states)
-        nid = self._intern.get(ikey)
-        if nid is None:
-            nid = len(self._size)
-            if nid >= self.max_nodes:
-                raise CapExceeded("class lattice exceeds node cap", nid)
-            self._intern[ikey] = nid
-            self._states.append(states)
-            self._size.append(sum(self._size[states[k]] for k in range(0, len(states), 2)))
-            self._ev.append(self.G.mul[self._ev[node]][g])
-            self._sub.append(self._subgroup_with(self._sub[node], g))
-            self._level_id.append(lid)
-            if self._use_bytes:
-                canon = min(self._canon[states[k]] + bytes((states[k + 1],))
-                            for k in range(0, len(states), 2))
-            else:
-                canon = min(self._canon[states[k]] + (states[k + 1],)
-                            for k in range(0, len(states), 2))
-            self._canon.append(canon)
+        nid = len(self._size)
+        if nid >= self.max_nodes:
+            raise CapExceeded(f"class lattice exceeds node cap at level {level}",
+                              nid - self._cap_base, "new nodes")
+        # plain loops: a comprehension would make n a closure cell, which
+        # slows every use of n in the loop above
+        size, canon, letters = self._size, self._canon, self._letters
+        total = 0
+        best = None
+        for p in states:
+            c = p // n
+            total += size[c]
+            word = canon[c] + letters[p - c * n]
+            if best is None or word < best:
+                best = word
+        states_of.append(states)
+        size.append(total)
+        canon.append(best)
+        self._ev.append(self.G.mul[self._ev[node]][g])
+        self._sub.append(self._subgroup_with(self._sub[node], g))
+        self._level_id.append(self._level_index(level))
         # every state of the class is itself a one-letter extension landing here
-        memo = self._append_memo
-        for k in range(0, len(states), 2):
-            memo[states[k] * n + states[k + 1]] = nid
+        memo.update(dict.fromkeys(states, nid))
         return nid
 
     def append_word(self, node: int, word: tuple[int, ...]) -> int:
@@ -225,21 +249,24 @@ class OrbitLattice:
         hit = self._first_letters.get(node)
         if hit is not None:
             return hit
-        st = self._states[node]
+        n = self._n
         bits = 0
-        for k in range(0, len(st), 2):
-            c, a = st[k], st[k + 1]
-            bits |= (1 << a) if c == 0 else self.first_letters(c)
+        for p in self._states[node]:
+            # a state below n extends the empty class, so its letter is p
+            bits |= (1 << p) if p < n else self.first_letters(p // n)
         self._first_letters[node] = bits
         return bits
 
 
 def get_lattice(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> OrbitLattice:
-    """Per-group shared lattice; groups are immutable so reuse is safe."""
+    """Per-group shared lattice; groups are immutable so reuse is safe.
+
+    ``caps.lattice_nodes`` bounds the nodes the caller's work may add from
+    here on; nodes that earlier calls left behind do not count against it.
+    """
     lat = getattr(G, "_lattice", None)
     if lat is None:
-        lat = OrbitLattice(G, caps.lattice_nodes)
+        lat = OrbitLattice(G)
         G._lattice = lat
-    elif caps.lattice_nodes > lat.max_nodes:
-        lat.max_nodes = caps.lattice_nodes
+    lat.limit_new_nodes(caps.lattice_nodes)
     return lat

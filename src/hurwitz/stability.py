@@ -25,6 +25,7 @@ from .groups import FiniteGroup, GammaSet, subgroup_closure
 from .lattice import OrbitLattice, get_lattice
 
 DEFAULT_WINDOW = 4
+DEFAULT_EQ_WINDOW = DEFAULT_WINDOW * 2
 DEFAULT_CONFIRM = 2
 DEFAULT_FRACTION_POWERS = 5
 
@@ -235,7 +236,7 @@ class StableEqResult:
 
 
 def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
-                      u: Stabilizer, window: int = DEFAULT_WINDOW * 2,
+                      u: Stabilizer, window: int = DEFAULT_EQ_WINDOW,
                       confirm: int = DEFAULT_CONFIRM,
                       caps: Caps = DEFAULT_CAPS) -> StableEqResult:
     """Decide whether v + u^l and w + u^l become braid equivalent.
@@ -328,7 +329,7 @@ def fraction_group_check(G: FiniteGroup, gamma: GammaSet,
 
 
 def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],
-                   w: tuple[int, ...], window: int = DEFAULT_WINDOW * 2,
+                   w: tuple[int, ...], window: int = DEFAULT_EQ_WINDOW,
                    confirm: int = DEFAULT_CONFIRM,
                    caps: Caps = DEFAULT_CAPS) -> StableEqResult:
     """Equality of generator words in the adjoint group of the conjugation

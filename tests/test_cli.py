@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 from hurwitz.cli import main
+from hurwitz.stability import DEFAULT_EQ_WINDOW
 
 
 def run_cli(capsys, *argv):
@@ -232,7 +233,10 @@ def test_stable_eq_verdict_false(capsys):
                            "--left", "[(12),(13)]", "--right", "[(12),(23)]",
                            "--format", "jsonl")
     assert code == 1
-    assert jsonl(out)[0]["verdict"] == "false"
+    rec = jsonl(out)[0]
+    assert rec["verdict"] == "false"
+    # without --window the CLI explores as far as the library default
+    assert rec["window"] == DEFAULT_EQ_WINDOW == 8
 
 
 def test_stable_eq_verdict_indeterminate(capsys):

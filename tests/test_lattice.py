@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from hurwitz import (
     CapExceeded,
+    Caps,
     FiberSpec,
     build_builtin,
     enumerate_classes,
+    find_stability_bound,
     make_gamma,
     orbit,
     orbit_members,
@@ -95,11 +97,57 @@ def test_lattice_rebuild_is_deterministic(s3):
     assert [a.size(n) for n in a.classes_at(nu)] == [b.size(n) for n in b.classes_at(nu)]
 
 
+def assert_memo_matches_states(L):
+    """No state belongs to two nodes, and the memo maps each state to its node."""
+    owner = {}
+    for node in range(1, L.node_count()):
+        for p in L._states[node]:
+            assert owner.setdefault(p, node) == node
+    assert owner == L._append_memo
+
+
+def test_node_counts_are_pinned():
+    s3 = build_builtin("sym:3")
+    L = OrbitLattice(s3)
+    assert len(L.classes_at((0, 12, 12))) == 3
+    assert L.node_count() == 591
+    a4 = build_builtin("alt:4")
+    gamma = make_gamma(a4, [a4.index_of("(123)")])
+    assert find_stability_bound(a4, gamma, None, 3, 2).bound == 0
+    assert get_lattice(a4).node_count() == 564
+
+
+def test_memo_maps_every_state_to_its_node(d4, q8):
+    for G, nu in ((d4, (0, 1, 4, 2, 2)), (q8, (0, 2, 4, 4, 4))):
+        L = OrbitLattice(G)
+        L.classes_at(nu)
+        assert_memo_matches_states(L)
+
+
 def test_lattice_node_cap():
     G = build_builtin("sym:3")
     L = OrbitLattice(G, max_nodes=10)
     with pytest.raises(CapExceeded):
         L.classes_at((0, 4, 4))
+
+
+def test_node_cap_counts_new_nodes_only():
+    G = build_builtin("sym:3")
+    warm = get_lattice(G, Caps(lattice_nodes=2_000_000))
+    warm.classes_at((0, 4, 4))
+    built = warm.node_count()
+    with pytest.raises(CapExceeded) as exc:
+        get_lattice(G, Caps(lattice_nodes=10)).classes_at((0, 6, 6))
+    assert exc.value.visited == 10
+    assert "at level (0, " in str(exc.value)
+    L = get_lattice(G, Caps(lattice_nodes=2_000_000))
+    assert L.node_count() == built + 10
+    # the aborted build left the lattice consistent: finishing the level
+    # gives what a fresh lattice gives
+    assert_memo_matches_states(L)
+    fresh = OrbitLattice(G)
+    assert ([L.canonical(n) for n in L.classes_at((0, 6, 6))]
+            == [fresh.canonical(n) for n in fresh.classes_at((0, 6, 6))])
 
 
 def test_deep_level_sizes_sum_to_fiber(s3):
