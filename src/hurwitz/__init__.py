@@ -11,7 +11,6 @@ from .braid import (
     FiberSpec,
     OrbitClass,
     braid_equivalent,
-    concat,
     enumerate_classes,
     evaluate,
     fiber_size,

@@ -10,7 +10,9 @@ acting on positions i, i+1 (i is 1-based, 1 <= i <= d-1).  This orientation
 keeps the left-to-right product of the entries invariant, which the whole
 package relies on.  Braid equivalence means membership in the same orbit
 under these moves; evaluation, Nielsen type and generated subgroup are
-orbit invariants and are used as cheap prefilters everywhere.
+orbit invariants.  `braid_equivalent` checks evaluation and Nielsen type
+before any orbit work; the generated subgroup is a prefilter on the direct
+path only, since equal lattice classes already carry equal subgroups.
 
 Orbits can be expanded by brute breadth-first search (`orbit`,
 `enumerate_classes(..., method="direct")`), which is the reference
@@ -88,10 +90,6 @@ def generated_subgroup(G: FiniteGroup, v: tuple[int, ...]) -> SubgroupMask:
     return subgroup_closure(G, v)
 
 
-def concat(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
-    return v + w
-
-
 # -- orbits -------------------------------------------------------------------
 
 
@@ -161,8 +159,12 @@ def braid_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
                      method: str = "lattice", caps: Caps = DEFAULT_CAPS) -> bool:
     """Decide membership in the same braid orbit.
 
-    Invariant prefilters (length, evaluation, Nielsen type, generated
-    subgroup) short-circuit before any orbit work.
+    Invariant prefilters (length, evaluation, Nielsen type) short-circuit
+    before any orbit work.  The direct path also compares generated
+    subgroups before its search.  The lattice path decides by class id
+    alone, because each class stores its subgroup; on a cold lattice a pair
+    whose subgroups differ therefore builds both classes before it returns
+    False.
     """
     if len(v) != len(w):
         return False
@@ -172,9 +174,9 @@ def braid_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
         return False
     if nielsen(G, v) != nielsen(G, w):
         return False
-    if generated_subgroup(G, v).bits != generated_subgroup(G, w).bits:
-        return False
     if method == "direct":
+        if generated_subgroup(G, v).bits != generated_subgroup(G, w).bits:
+            return False
         # early-exit BFS from v, watching for w
         d = len(v)
         conj, inv = G.conj_table, G.inv

@@ -276,7 +276,10 @@ def _conjugacy_classes(G: FiniteGroup) -> ConjClassTable:
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> SubgroupMask:
     """Smallest subgroup containing ``seed``, by closure iteration."""
-    mul = G.mul
+    return SubgroupMask(_closure(G.mul, seed), G.order)
+
+
+def _closure(mul: list[list[int]], seed: Iterable[int]) -> int:
     elems = {0}
     frontier = [0]
     for s in seed:
@@ -294,16 +297,20 @@ def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> SubgroupMask:
     bits = 0
     for x in elems:
         bits |= 1 << x
-    return SubgroupMask(bits, G.order)
+    return bits
 
 
-def closure_bits(G: FiniteGroup, bits: int, extra: int) -> int:
-    """Closure of an already-closed subgroup ``bits`` with one extra element."""
+def closure_bits(mul: list[list[int]], bits: int, extra: int) -> int:
+    """Closure of an already-closed subgroup ``bits`` with one extra element.
+
+    Takes the multiplication table, not the group, so that a holder of the
+    table (the class lattice) need not keep the group alive.
+    """
     if (bits >> extra) & 1:
         return bits
-    seed = [x for x in range(G.order) if (bits >> x) & 1]
+    seed = [x for x in range(len(mul)) if (bits >> x) & 1]
     seed.append(extra)
-    return subgroup_closure(G, seed).bits
+    return _closure(mul, seed)
 
 
 def commutator_subgroup(G: FiniteGroup) -> SubgroupMask:

@@ -29,12 +29,13 @@ A state is packed as the single int c * n + a (n the group order); a node
 keeps its states as a sorted tuple of these ints, which is the order of the
 (c, a) pairs.  The same int is the key of the one memo, which maps every
 state of every class built to its node.  Equivalence of two tuples is
-therefore a fold of `append` calls followed by an id comparison, and a memo
-miss on a start state always begins a new class.  Complete class sets per
-Nielsen type come from extending the complete sets one level below (every
-class has a representative ending in any class with positive count,
-because braid moves carry an entry to the last slot within its conjugacy
-class).
+therefore a fold of one-letter appends followed by an id comparison, and a
+memo miss on a start state always begins a new class.  `append_word` is that
+memo fold: one dict lookup per letter, a call only on a miss.  Complete
+class sets per Nielsen type come from extending the complete sets one level
+below (every class has a representative ending in any class with positive
+count, because braid moves carry an entry to the last slot within its
+conjugacy class).
 """
 
 from __future__ import annotations
@@ -48,16 +49,20 @@ from .groups import FiniteGroup, SubgroupMask, closure_bits
 
 class OrbitLattice:
     def __init__(self, G: FiniteGroup, max_nodes: int = DEFAULT_CAPS.lattice_nodes):
-        self.G = G
         # identification recurses one level per letter; allow long words
         if sys.getrecursionlimit() < 10_000:
             sys.setrecursionlimit(10_000)
+        # keep G's tables, not G: the group holds its lattice (`get_lattice`),
+        # so a reference back would keep a dropped group alive until the
+        # cyclic collector runs
         n = G.order
         self._n = n
+        self._mul = G.mul
         # _fwd[a][b] = b^a: the new last letter when a moves left past b
         self._fwd = list(zip(*G.conj_table))
         ct = G.classes
         self._class_of = ct.class_of
+        self._members = ct.members
         self._nclasses = ct.count
         # node storage, parallel lists indexed by node id
         self._states: list[tuple[int, ...]] = []  # sorted states c * n + a
@@ -117,7 +122,7 @@ class OrbitLattice:
             size=self._size[node],
             ev=self._ev[node],
             nu=self.level(node),
-            subgroup=SubgroupMask(self._sub[node], self.G.order),
+            subgroup=SubgroupMask(self._sub[node], self._n),
         )
 
     # -- construction --------------------------------------------------------
@@ -134,7 +139,7 @@ class OrbitLattice:
         key = (bits, g)
         hit = self._sub_memo.get(key)
         if hit is None:
-            hit = closure_bits(self.G, bits, g)
+            hit = closure_bits(self._mul, bits, g)
             self._sub_memo[key] = hit
         return hit
 
@@ -204,7 +209,7 @@ class OrbitLattice:
         states_of.append(states)
         size.append(total)
         canon.append(best)
-        self._ev.append(self.G.mul[self._ev[node]][g])
+        self._ev.append(self._mul[self._ev[node]][g])
         self._sub.append(self._subgroup_with(self._sub[node], g))
         self._level_id.append(self._level_index(level))
         # every state of the class is itself a one-letter extension landing here
@@ -212,8 +217,18 @@ class OrbitLattice:
         return nid
 
     def append_word(self, node: int, word: tuple[int, ...]) -> int:
+        """Class of rep(node) + word: the memo fold, `append` inlined per letter.
+
+        A memo hit costs one dict subscript and no call (a subscript is
+        cheaper than `memo.get`); only a miss calls `_new_class`.
+        """
+        memo = self._append_memo
+        n = self._n
         for g in word:
-            node = self.append(node, g)
+            try:
+                node = memo[node * n + g]
+            except KeyError:
+                node = self._new_class(node, g)
         return node
 
     def class_of(self, v: tuple[int, ...]) -> int:
@@ -238,7 +253,7 @@ class OrbitLattice:
             result: tuple[int, ...] = (0,)
         else:
             below = self.classes_at(nu[:pivot] + (nu[pivot] - 1,) + nu[pivot + 1 :])
-            members = self.G.classes.members[pivot]
+            members = self._members[pivot]
             found = {self.append(c, g) for c in below for g in members}
             result = tuple(sorted(found, key=lambda nid: self._canon[nid]))
         self._classes_at[nu] = result

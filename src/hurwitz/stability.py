@@ -38,11 +38,13 @@ class Stabilizer:
     nu: tuple[int, ...]
     ev: int
     ell: int  # order of ev in the group
+    sub: int  # bits of the subgroup the vector generates
 
 
 def make_stabilizer(G: FiniteGroup, vector: tuple[int, ...]) -> Stabilizer:
     ev = evaluate(G, vector)
-    return Stabilizer(tuple(vector), nielsen(G, vector), ev, G.element_order(ev))
+    return Stabilizer(tuple(vector), nielsen(G, vector), ev, G.element_order(ev),
+                      subgroup_closure(G, vector).bits)
 
 
 def u_gamma(G: FiniteGroup, gamma: GammaSet) -> Stabilizer:
@@ -85,7 +87,6 @@ def stabilize_map(G: FiniteGroup, domain: list[OrbitClass], u: Stabilizer,
         if len(nus) > 1:
             raise ValueError("domain classes must share one Nielsen type")
     L = get_lattice(G, caps)
-    u_sub = subgroup_closure(G, u.vector).bits
     pairs = []
     image_nodes = []
     for c in domain:
@@ -96,7 +97,7 @@ def stabilize_map(G: FiniteGroup, domain: list[OrbitClass], u: Stabilizer,
         if domain:
             target_nu = tuple(a + b for a, b in zip(domain[0].nu, u.nu))
             cod_nodes = [n for n in L.classes_at(target_nu)
-                         if u_sub & ~L.sub_bits(n) == 0]
+                         if u.sub & ~L.sub_bits(n) == 0]
         else:
             cod_nodes = []
     else:
@@ -248,7 +249,8 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     the enclosing class sets (with ``confirm`` such levels), mirroring the
     empirical stability bound; otherwise the result is indeterminate.
     """
-    if nielsen(G, v) != nielsen(G, w):
+    base_nu = nielsen(G, v)
+    if base_nu != nielsen(G, w):
         return StableEqResult(False, 0, "nielsen-type mismatch", window)
     if evaluate(G, v) != evaluate(G, w):
         return StableEqResult(False, 0, "evaluation mismatch", window)
@@ -263,11 +265,9 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
         if node_v == node_w:
             return StableEqResult(True, level, f"equivalent after {level} appends", window)
     # no equality anywhere in the window: look for an injective tail
-    u_sub = subgroup_closure(G, u.vector).bits
-    base_nu = nielsen(G, v)
     injective_from: int | None = None
     for step in range(window - 1, 0, -1):
-        if _append_step_injective(G, L, _add_nu(base_nu, u.nu, step), u, u_sub):
+        if _append_step_injective(L, _add_nu(base_nu, u.nu, step), u):
             injective_from = step
         else:
             break
@@ -279,9 +279,8 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     return StableEqResult(None, None, "window exhausted without a stable verdict", window)
 
 
-def _append_step_injective(G: FiniteGroup, L: OrbitLattice, nu: tuple[int, ...],
-                           u: Stabilizer, u_sub: int) -> bool:
-    domain = [x for x in L.classes_at(nu) if u_sub & ~L.sub_bits(x) == 0]
+def _append_step_injective(L: OrbitLattice, nu: tuple[int, ...], u: Stabilizer) -> bool:
+    domain = [x for x in L.classes_at(nu) if u.sub & ~L.sub_bits(x) == 0]
     images = {L.append_word(x, u.vector) for x in domain}
     return len(images) == len(domain)
 
@@ -338,7 +337,8 @@ def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],
     Word equality there is exactly stable equivalence with the gamma
     stabiliser, provided the fraction monoid is a group (verified first).
     Unequal Nielsen images (in particular unequal lengths) are final
-    mismatches since class counts are read off the abelianisation.
+    mismatches since class counts are read off the abelianisation;
+    `stable_equivalent` reports them with its own prefilters.
     """
     for t in (v, w):
         for x in t:
@@ -354,10 +354,6 @@ def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],
     if fc.is_group is not True:
         raise ValueError("fraction monoid not verified to be a group; "
                          f"unresolved letters {fc.unresolved}")
-    if nielsen(G, v) != nielsen(G, w):
-        return StableEqResult(False, 0, "nielsen-type mismatch", window)
-    if evaluate(G, v) != evaluate(G, w):
-        return StableEqResult(False, 0, "evaluation mismatch", window)
     return stable_equivalent(G, v, w, u_gamma(G, gamma), window, confirm, caps)
 
 

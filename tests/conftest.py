@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+import hurwitz
 from hurwitz import build_builtin, make_gamma
 
 
@@ -45,3 +48,15 @@ def s3_all(s3):
 
 def el(G, name):
     return G.index_of(name)
+
+
+def cli_env(**extra):
+    """Environment for a child ``python -m hurwitz.cli``.
+
+    Puts the directory this process imported the package from on the child's
+    PYTHONPATH, so the child runs the same code whether or not the suite was
+    started with PYTHONPATH set.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hurwitz.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)

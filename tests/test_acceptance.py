@@ -16,7 +16,6 @@ from hurwitz import (
     FiberSpec,
     braid_equivalent,
     build_builtin,
-    concat,
     enumerate_classes,
     enumerate_marked_classes,
     evaluate,
@@ -40,7 +39,7 @@ from hurwitz import (
 )
 from hurwitz.braid import Caps
 from hurwitz.lattice import get_lattice
-from conftest import el
+from conftest import cli_env, el
 
 
 @pytest.fixture
@@ -123,7 +122,7 @@ def test_criterion_03_centrality(s3, announce):
         pairs = 0
         for v in vs:
             for w in ws:
-                assert braid_equivalent(s3, concat(v, w), concat(w, v))
+                assert braid_equivalent(s3, v + w, w + v)
                 pairs += 1
     announce(3, f"centrality vw ~ wv on all {pairs} pairs with ev(v)=1, lengths <= 3, {t.elapsed:.1f}s")
 
@@ -382,7 +381,7 @@ def test_criterion_12_deterministic_jsonl(announce):
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     outputs = []
     for seed in ("1", "999"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = cli_env(PYTHONHASHSEED=seed)
         proc = subprocess.run(cmd, capture_output=True, env=env, cwd=repo_root)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)

@@ -11,7 +11,6 @@ from hurwitz import (
     ParseError,
     braid_equivalent,
     build_builtin,
-    concat,
     enumerate_classes,
     evaluate,
     fiber_size,
@@ -95,7 +94,7 @@ def test_evaluate_example(s3):
 def test_evaluate_is_monoid_hom(a, b):
     G = build_builtin("sym:3")
     v, w = tuple(a), tuple(b)
-    assert evaluate(G, concat(v, w)) == G.prod(evaluate(G, v), evaluate(G, w))
+    assert evaluate(G, v + w) == G.prod(evaluate(G, v), evaluate(G, w))
 
 
 def test_nielsen_examples(s3):
@@ -110,7 +109,7 @@ def test_nielsen_examples(s3):
 def test_nielsen_additive_under_concat(a, b):
     G = build_builtin("sym:3")
     va, vb = tuple(a), tuple(b)
-    combined = nielsen(G, concat(va, vb))
+    combined = nielsen(G, va + vb)
     assert combined == tuple(x + y for x, y in zip(nielsen(G, va), nielsen(G, vb)))
 
 
@@ -194,6 +193,29 @@ def test_braid_equivalent_methods_agree(s3):
         v = tuple(rng.randrange(6) for _ in range(d))
         w = tuple(rng.randrange(6) for _ in range(d))
         assert braid_equivalent(s3, v, w, method="direct") == braid_equivalent(s3, v, w)
+
+
+def test_lattice_verdict_matches_raw_orbits_without_subgroup_prefilter():
+    # the lattice path decides by class id alone; check it on every pair the
+    # evaluation and Nielsen prefilters let through, on a cold lattice
+    G = build_builtin("sym:3")
+    t12, t13 = el(G, "(12)"), el(G, "(13)")
+    buckets = {}
+    for d in range(4):
+        for v in s3_tuples(G, d):
+            buckets.setdefault((d, evaluate(G, v), nielsen(G, v)), []).append(v)
+    pairs = subgroups_differ = 0
+    for bucket in buckets.values():
+        for i, v in enumerate(bucket):
+            members = orbit_members(G, v)
+            for w in bucket[i + 1:]:
+                pairs += 1
+                if generated_subgroup(G, v).bits != generated_subgroup(G, w).bits:
+                    subgroups_differ += 1
+                assert braid_equivalent(G, v, w) == (w in members)
+    assert pairs > 1000 and subgroups_differ > 0
+    assert not braid_equivalent(G, (t12, t12), (t13, t13))
+    assert generated_subgroup(G, (t12, t12)).bits != generated_subgroup(G, (t13, t13)).bits
 
 
 # -- fibers --------------------------------------------------------------------
@@ -292,10 +314,10 @@ def test_concat_class_well_defined(s3):
     # oracle: full orbit enumeration on both sides, exhaustive at length 2
     for v in itertools.product(range(6), repeat=2):
         for w in itertools.product(range(6), repeat=2):
-            base = concat(v, w)
+            base = v + w
             for vv in orbit_members(s3, v):
                 for ww in orbit_members(s3, w):
-                    assert braid_equivalent(s3, base, concat(vv, ww))
+                    assert braid_equivalent(s3, base, vv + ww)
     # spot checks at length 3
     rng = random.Random(23)
     for _ in range(10):
@@ -303,13 +325,7 @@ def test_concat_class_well_defined(s3):
         w = tuple(rng.randrange(6) for _ in range(3))
         for vv in orbit_members(s3, v):
             for ww in orbit_members(s3, w):
-                assert braid_equivalent(s3, concat(v, w), concat(vv, ww))
-
-
-def test_concat_unit(s3):
-    v = (1, 2, 3)
-    assert concat(v, ()) == v
-    assert concat((), v) == v
+                assert braid_equivalent(s3, v + w, vv + ww)
 
 
 # -- centrality -----------------------------------------------------------------
@@ -321,7 +337,7 @@ def test_centrality_small(s3):
     ws = list(s3_tuples(s3, 2))
     for v in vs:
         for w in ws[::3]:
-            assert braid_equivalent(s3, concat(v, w), concat(w, v))
+            assert braid_equivalent(s3, v + w, w + v)
 
 
 # -- parsing --------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 
 from hurwitz.cli import main
 from hurwitz.stability import DEFAULT_EQ_WINDOW
+from conftest import cli_env
 
 
 def run_cli(capsys, *argv):
@@ -88,7 +89,7 @@ def test_classes_deterministic_across_processes(tmp_path):
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     outs = []
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = cli_env(PYTHONHASHSEED=seed)
         proc = subprocess.run(cmd, capture_output=True, env=env, cwd=repo_root)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +124,32 @@ def test_memo_maps_every_state_to_its_node(d4, q8):
         L = OrbitLattice(G)
         L.classes_at(nu)
         assert_memo_matches_states(L)
+
+
+def test_append_word_matches_append_fold(d4):
+    rng = random.Random(3)
+    words = [tuple(rng.randrange(d4.order) for _ in range(rng.randrange(9))) for _ in range(60)]
+    folded, inlined = OrbitLattice(d4), OrbitLattice(d4)
+    for word in words:
+        node = 0
+        for g in word:
+            node = folded.append(node, g)
+        assert inlined.append_word(0, word) == node
+        assert inlined.node_count() == folded.node_count()
+
+
+def test_dropped_group_frees_its_lattice():
+    # the group holds its lattice and the lattice holds no reference back,
+    # so reference counting alone frees both
+    gc.disable()
+    try:
+        G = build_builtin("sym:3")
+        get_lattice(G).classes_at((0, 2, 2))
+        ref = weakref.ref(get_lattice(G))
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_lattice_node_cap():

@@ -63,6 +63,37 @@ def test_u_gamma_class_is_order_independent(s3, s3_all, s3_transpositions):
             assert braid_equivalent(s3, u.vector, permuted)
 
 
+def test_stabilizer_carries_its_subgroup(s3):
+    for spec in ("sym:3", "alt:4", "quaternion:8"):
+        G = build_builtin(spec)
+        u = u_gamma(G, make_gamma(G, "all-nontrivial"))
+        assert u.sub == subgroup_closure(G, u.vector).bits
+    t12 = el(s3, "(12)")
+    st = make_stabilizer(s3, (t12, t12))
+    assert st.sub == subgroup_closure(s3, (t12,)).bits == 1 | (1 << t12)
+
+
+def test_warm_queries_compute_no_subgroup_closure(monkeypatch, s3_all):
+    import hurwitz.groups
+
+    G = build_builtin("sym:3")
+    u = u_gamma(G, s3_all)
+    t12, t13, t23 = el(G, "(12)"), el(G, "(13)"), el(G, "(23)")
+    pairs = [((t12, t12), (t13, t13)), ((t12, t13), (t23, t12)), ((t12, t13), (t13, t23))]
+
+    def answers():
+        return [(braid_equivalent(G, v, w), stable_equivalent(G, v, w, u, window=3, confirm=1))
+                for v, w in pairs]
+
+    cold = answers()
+
+    def no_closure(*args):
+        raise AssertionError("subgroup closure recomputed on a warm query")
+
+    monkeypatch.setattr(hurwitz.groups, "_closure", no_closure)
+    assert answers() == cold
+
+
 # -- stabilisation maps -----------------------------------------------------------
 
 
