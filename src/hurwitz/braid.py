@@ -14,16 +14,19 @@ orbit invariants.  `braid_equivalent` checks evaluation and Nielsen type
 before any orbit work; the generated subgroup is a prefilter on the direct
 path only, since equal lattice classes already carry equal subgroups.
 
-Orbits can be expanded by brute breadth-first search (`orbit`,
+Orbits can be expanded by brute search over raw tuples (`orbit`,
 `enumerate_classes(..., method="direct")`), which is the reference
 implementation, or through the shared class lattice (see `lattice`), which
-reaches Nielsen types whose raw fibers are astronomically large.
+reaches Nielsen types whose raw fibers are astronomically large.  Every
+brute search, here and in `marked`, runs the one kernel `_closure`, which
+follows `sigma` only: a permutation of the finite set G^d has its inverse
+among its powers, so `sigma_inv` reaches no further tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import CapExceeded, ParseError
 from .groups import FiniteGroup, GammaSet, SubgroupMask, subgroup_closure
@@ -45,6 +48,8 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
+
+Move = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
 # -- moves and invariants ----------------------------------------------------
@@ -112,31 +117,50 @@ class OrbitClass:
         return len(self.canonical)
 
 
-def orbit_members(G: FiniteGroup, v: tuple[int, ...], max_states: int | None = None) -> set[tuple[int, ...]]:
-    """Full orbit of ``v`` as a set, by closure under sigma and sigma_inv."""
-    cap = max_states if max_states is not None else DEFAULT_ORBIT_CAP
-    d = len(v)
-    if d < 2:
-        return {v}
+def _closure(G: FiniteGroup, start: tuple[int, ...], cap: int, lo: int = 0,
+             extra: tuple[Move, ...] = (), target: tuple[int, ...] | None = None,
+             ) -> set[tuple[int, ...]]:
+    """Raw tuples reachable from ``start``: the one brute-force orbit kernel.
+
+    Follows the forward move ``sigma`` at every position from ``lo`` on (a
+    prefix of ``lo`` entries stays fixed; ``sigma_inv`` is not needed, see
+    the module docstring) and each function in ``extra``.  Extra moves are
+    only checked by sampling, not proved to be permutations, so callers
+    pass both directions of each.  Stops as soon as ``target`` is added;
+    raises CapExceeded rather than hold more than ``cap`` tuples.
+    """
     conj = G.conj_table
-    inv = G.inv
-    seen = {v}
-    stack = [v]
+    hi = len(start) - 1
+    seen = {start}
+    stack = [start]
+    pop, push, add = stack.pop, stack.append, seen.add
     while stack:
-        t = stack.pop()
-        for i in range(d - 1):
+        t = pop()
+        nxt = []
+        for i in range(lo, hi):
             a, b = t[i], t[i + 1]
-            head, tail = t[:i], t[i + 2 :]
-            for u in (
-                head + (b, conj[a][b]) + tail,
-                head + (conj[b][inv[a]], a) + tail,
-            ):
-                if u not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded("orbit exceeds state cap", len(seen))
-                    seen.add(u)
-                    stack.append(u)
+            nxt.append(t[:i] + (b, conj[a][b]) + t[i + 2 :])
+        for move in extra:
+            nxt.append(move(t))
+        for u in nxt:
+            if u not in seen:
+                if len(seen) >= cap:
+                    raise CapExceeded("orbit exceeds state cap", len(seen))
+                add(u)
+                if u == target:
+                    return seen
+                push(u)
     return seen
+
+
+def orbit_members(G: FiniteGroup, v: tuple[int, ...], max_states: int | None = None) -> set[tuple[int, ...]]:
+    """Full orbit of ``v`` as a set, by closure under the braid moves.
+
+    The closure follows ``sigma`` alone: it permutes the finite set G^d, so
+    its inverse is among its powers and ``sigma_inv`` reaches no further
+    tuple.
+    """
+    return _closure(G, v, max_states if max_states is not None else DEFAULT_ORBIT_CAP)
 
 
 def _class_from_members(G: FiniteGroup, members: set[tuple[int, ...]]) -> OrbitClass:
@@ -177,28 +201,7 @@ def braid_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     if method == "direct":
         if generated_subgroup(G, v).bits != generated_subgroup(G, w).bits:
             return False
-        # early-exit BFS from v, watching for w
-        d = len(v)
-        conj, inv = G.conj_table, G.inv
-        seen = {v}
-        stack = [v]
-        while stack:
-            t = stack.pop()
-            for i in range(d - 1):
-                a, b = t[i], t[i + 1]
-                head, tail = t[:i], t[i + 2 :]
-                for u in (
-                    head + (b, conj[a][b]) + tail,
-                    head + (conj[b][inv[a]], a) + tail,
-                ):
-                    if u == w:
-                        return True
-                    if u not in seen:
-                        if len(seen) >= caps.orbit_states:
-                            raise CapExceeded("orbit exceeds state cap", len(seen))
-                        seen.add(u)
-                        stack.append(u)
-        return False
+        return w in _closure(G, v, caps.orbit_states, target=w)
     from .lattice import get_lattice
 
     L = get_lattice(G, caps)
@@ -243,7 +246,7 @@ class FiberSpec:
         return sum(self.nu)
 
     def key(self) -> str:
-        """Deterministic descriptor used for cache lookups and output."""
+        """Deterministic descriptor of the fiber, printed with its classes."""
         parts = ["nu=" + ",".join(map(str, self.nu))]
         parts.append("gamma=" + ",".join(map(str, self.gamma.class_ids)))
         if self.ev is not None:

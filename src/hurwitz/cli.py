@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .braid import Caps, DEFAULT_CAPS, FiberSpec, enumerate_classes, format_tuple, orbit, orbit_members, parse_tuple
-from .cache import resolve_cache
 from .errors import CapExceeded, HomologyError, HurwitzError, ParseError
 from .groups import FiniteGroup, GammaSet, load_group, make_gamma
 from .homology import h2_order, h2_structure
@@ -40,9 +38,7 @@ class RunConfig:
     group_spec: str
     gamma_spec: str | None
     caps: Caps
-    cache: str | None
     fmt: str
-    workers: int
     window: int
     confirm: int
 
@@ -212,36 +208,9 @@ def _cmd_classes(args, cfg: RunConfig) -> int:
         raise ParseError("--gamma is required for classes")
     gamma = _parse_gamma(G, cfg.gamma_spec)
     specs = [_build_fiber_spec(G, args, gamma, text) for text in args.nielsen]
-    method = args.method
-    if method == "auto":
-        method = "direct" if cfg.workers > 1 else "lattice"
-    elif method == "lattice" and cfg.workers > 1:
-        raise ParseError("lattice enumeration is single-threaded; use --method direct with --workers")
-    cache = resolve_cache(cfg.cache, G)
-
-    def solve(spec: FiberSpec):
-        if cache is not None:
-            hit = cache.get(G, spec)
-            if hit is not None:
-                return hit
-        result = enumerate_classes(G, spec, cfg.caps, method)
-        if cache is not None:
-            cache.put(G, spec, result)
-        return result
-
-    if cfg.workers > 1 and len(specs) > 1:
-        G.conj_table  # build shared tables before going concurrent
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            all_classes = list(pool.map(solve, specs))
-    else:
-        all_classes = [solve(spec) for spec in specs]
-    if cache is not None:
-        try:
-            cache.save()
-        except OSError as e:
-            print(f"warning: could not write cache: {e}", file=sys.stderr)
     records = []
-    for spec, classes in zip(specs, all_classes):
+    for spec in specs:
+        classes = enumerate_classes(G, spec, cfg.caps, args.method)
         for cls in classes:
             records.append(_class_record(G, cls))
         records.append({
@@ -334,10 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'all-nontrivial' or comma-separated class representatives")
         p.add_argument("--caps", default=None,
                        help="limits, e.g. orbit=1000000,fiber=1000000,nodes=500000")
-        p.add_argument("--cache", default=None, help="orbit cache file path")
         p.add_argument("--format", default="pretty", choices=("jsonl", "tsv", "pretty"))
-        p.add_argument("--workers", type=int, default=1,
-                       help="concurrent independent-fiber enumerations (direct method)")
         p.add_argument("--window", type=int, default=window,
                        help="how many stabiliser appends to explore")
         p.add_argument("--confirm", type=int, default=DEFAULT_CONFIRM,
@@ -356,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_classes.add_argument("--ev", default=None, help="pin the evaluation (name or index)")
     p_classes.add_argument("--generating", action="store_true",
                            help="keep only classes generating the whole group")
-    p_classes.add_argument("--method", default="auto", choices=("auto", "lattice", "direct"))
+    p_classes.add_argument("--method", default="lattice", choices=("lattice", "direct"),
+                           help="class lattice, or brute-force orbit search (the reference)")
     p_classes.set_defaults(func=_cmd_classes)
 
     p_stab = sub.add_parser("stability", help="find an empirical stability bound")
@@ -387,9 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         group_spec=args.group,
         gamma_spec=args.gamma,
         caps=_parse_caps(args.caps),
-        cache=args.cache,
         fmt=args.format,
-        workers=max(1, args.workers),
         window=args.window,
         confirm=args.confirm,
     )

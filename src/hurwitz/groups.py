@@ -181,7 +181,7 @@ class FiniteGroup:
 
     @property
     def digest(self) -> str:
-        """SHA-256 of the multiplication table; keys persistent caches."""
+        """SHA-256 of the multiplication table; names the table in keys."""
         if self._digest is None:
             h = hashlib.sha256()
             h.update(str(self.order).encode())

@@ -10,20 +10,24 @@ braid equivalent, so class sets factor as G^k x (tail classes).
 User-supplied extra moves on the full tuple are accepted as (move, inverse)
 pairs; they are validated by sampling (invertibility, length and skipped
 Nielsen preservation), not proved.  Enumeration with extra moves falls back
-to brute closure over raw tuples.
+to brute closure over raw tuples: the kernel `braid._closure` shared with
+the plain orbit oracle, restricted to the tail positions and run with both
+directions of each extra move.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .braid import (
     Caps,
     DEFAULT_CAPS,
     FiberSpec,
+    Move,
     OrbitClass,
+    _closure,
     enumerate_classes,
     iter_fiber_tuples,
     nielsen,
@@ -32,8 +36,6 @@ from .braid import (
 from .errors import CapExceeded, ParseError
 from .groups import FiniteGroup
 from .lattice import get_lattice
-
-Move = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -135,32 +137,9 @@ def _accept_extra_moves(G: FiniteGroup, family: ActionFamily, length: int) -> No
         _accepted_moves.add(key)
 
 
-def _full_closure(G: FiniteGroup, family: ActionFamily, start: tuple[int, ...],
-                  caps: Caps) -> set[tuple[int, ...]]:
-    """Brute closure under tail braid moves plus any extra moves."""
-    r = family.prefix_len
-    d = len(start) - r
-    conj, inv = G.conj_table, G.inv
-    seen = {start}
-    stack = [start]
-    while stack:
-        t = stack.pop()
-        nxt = []
-        for i in range(r, r + d - 1):
-            a, b = t[i], t[i + 1]
-            head, tail = t[:i], t[i + 2 :]
-            nxt.append(head + (b, conj[a][b]) + tail)
-            nxt.append(head + (conj[b][inv[a]], a) + tail)
-        for fwd, bwd in family.extra_moves:
-            nxt.append(fwd(t))
-            nxt.append(bwd(t))
-        for u in nxt:
-            if u not in seen:
-                if len(seen) >= caps.orbit_states:
-                    raise CapExceeded("marked orbit exceeds state cap", len(seen))
-                seen.add(u)
-                stack.append(u)
-    return seen
+def _extra(family: ActionFamily) -> tuple[Move, ...]:
+    """The family's extra moves, both directions of each, flattened."""
+    return tuple(m for pair in family.extra_moves for m in pair)
 
 
 def marked_orbit(G: FiniteGroup, family: ActionFamily, mv: MarkedVector,
@@ -174,7 +153,7 @@ def marked_orbit(G: FiniteGroup, family: ActionFamily, mv: MarkedVector,
         canon = MarkedVector(mv.prefix, L.canonical(node))
         return MarkedClass(canon, L.size(node), marked_nielsen(G, family, canon))
     _accept_extra_moves(G, family, len(mv.tail))
-    members = _full_closure(G, family, mv.full(), caps)
+    members = _closure(G, mv.full(), caps.orbit_states, family.prefix_len, _extra(family))
     best = min(members)
     r = family.prefix_len
     canon = MarkedVector(best[:r], best[r:])
@@ -196,7 +175,7 @@ def enumerate_marked_classes(G: FiniteGroup, family: ActionFamily, tail_spec: Fi
 
     ``prefixes`` defaults to all of G^k in lexicographic order.  For the
     marked family the result is the Cartesian product of prefixes with the
-    tail's class list; with extra moves a brute closure pass is used.
+    tail's class list; with extra moves the brute closure kernel is used.
     """
     if prefixes is None:
         prefix_list = _all_prefixes(G.order, family.prefix_len)
@@ -214,6 +193,7 @@ def enumerate_marked_classes(G: FiniteGroup, family: ActionFamily, tail_spec: Fi
                 out.append(MarkedClass(mvec, t.size, marked_nielsen(G, family, mvec)))
         return out
     _accept_extra_moves(G, family, tail_spec.length)
+    extra = _extra(family)
     seen: set[tuple[int, ...]] = set()
     out = []
     count = 0
@@ -225,7 +205,7 @@ def enumerate_marked_classes(G: FiniteGroup, family: ActionFamily, tail_spec: Fi
             full = prefix + tail
             if full in seen:
                 continue
-            members = _full_closure(G, family, full, caps)
+            members = _closure(G, full, caps.orbit_states, family.prefix_len, extra)
             seen.update(members)
             best = min(members)
             r = family.prefix_len

@@ -347,14 +347,14 @@ def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],
     checks = getattr(G, "_fraction_checks", None)
     if checks is None:
         checks = G._fraction_checks = {}
-    fc = checks.get(gamma.bits)
-    if fc is None:
-        fc = fraction_group_check(G, gamma, caps=caps)
-        checks[gamma.bits] = fc
+    hit = checks.get(gamma.bits)
+    if hit is None:
+        hit = checks[gamma.bits] = (fraction_group_check(G, gamma, caps=caps), u_gamma(G, gamma))
+    fc, u = hit
     if fc.is_group is not True:
         raise ValueError("fraction monoid not verified to be a group; "
                          f"unresolved letters {fc.unresolved}")
-    return stable_equivalent(G, v, w, u_gamma(G, gamma), window, confirm, caps)
+    return stable_equivalent(G, v, w, u, window, confirm, caps)
 
 
 # -- factorisation witness ----------------------------------------------------------

@@ -3,7 +3,7 @@ import os
 import pytest
 
 import hurwitz
-from hurwitz import build_builtin, make_gamma
+from hurwitz import build_builtin, make_gamma, sigma, sigma_inv
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +48,26 @@ def s3_all(s3):
 
 def el(G, name):
     return G.index_of(name)
+
+
+def two_sided_orbit(G, v, lo=0, extra=()):
+    """Closure of ``v`` under sigma and sigma_inv at every position past the
+    first ``lo`` entries, and under the functions in ``extra``.
+
+    An oracle for the package's forward-only kernel, built from the public
+    moves alone.
+    """
+    seen = {v}
+    stack = [v]
+    while stack:
+        t = stack.pop()
+        nxt = [move(G, i, t) for i in range(lo + 1, len(t)) for move in (sigma, sigma_inv)]
+        nxt += [move(t) for move in extra]
+        for u in nxt:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def cli_env(**extra):

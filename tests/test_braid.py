@@ -25,7 +25,7 @@ from hurwitz import (
     sigma_inv,
 )
 from hurwitz.braid import Caps, iter_fiber_tuples
-from conftest import el
+from conftest import el, two_sided_orbit
 
 
 def s3_tuples(G, d):
@@ -163,6 +163,17 @@ def test_orbit_canonical_is_min(s4):
         assert orbit(s4, v).canonical == min(members)
 
 
+def test_orbit_members_match_two_sided_closure(s3, s4):
+    # the kernel follows sigma only; the oracle follows sigma and sigma_inv
+    for d in range(5):
+        for v in s3_tuples(s3, d):
+            assert orbit_members(s3, v) == two_sided_orbit(s3, v)
+    rng = random.Random(29)
+    for _ in range(25):
+        v = tuple(rng.randrange(24) for _ in range(4))
+        assert orbit_members(s4, v) == two_sided_orbit(s4, v)
+
+
 def test_orbit_cap(s3):
     with pytest.raises(CapExceeded) as exc:
         orbit_members(s3, (1, 2, 3, 5, 2, 1), max_states=5)
@@ -186,13 +197,34 @@ def test_braid_equivalent_examples(s3):
     assert not braid_equivalent(s3, (t12, t13), (t12, t23))
 
 
-def test_braid_equivalent_methods_agree(s3):
+def test_braid_equivalent_methods_agree(s3, s4):
     rng = random.Random(13)
     for _ in range(120):
         d = rng.randrange(0, 5)
         v = tuple(rng.randrange(6) for _ in range(d))
         w = tuple(rng.randrange(6) for _ in range(d))
         assert braid_equivalent(s3, v, w, method="direct") == braid_equivalent(s3, v, w)
+    # the direct search stops when it reaches w: members met mid-walk, and
+    # non-members with the same evaluation, Nielsen type and subgroup, which
+    # the search must exhaust; each of these fibers holds two classes
+    G = s4
+    gamma = make_gamma(G, "all-nontrivial")
+    for names in (("(124)", "(1342)", "(132)", "(143)"), ("(1243)", "(124)", "(142)", "(1342)"),
+                  ("(1432)", "(143)", "(1432)", "(1423)"), ("(243)", "(1423)", "(1342)", "(1243)")):
+        v = tuple(el(G, x) for x in names)
+        members = orbit_members(G, v)
+        spec = FiberSpec(nu=nielsen(G, v), gamma=gamma, ev=evaluate(G, v))
+        sub = generated_subgroup(G, v).bits
+        others = [t for t in iter_fiber_tuples(G, spec)
+                  if generated_subgroup(G, t).bits == sub and t not in members]
+        assert others
+        ordered = sorted(members)
+        for w in (ordered[len(ordered) // 3], ordered[len(ordered) // 2], ordered[-1]):
+            assert braid_equivalent(G, v, w, method="direct")
+            assert braid_equivalent(G, v, w)
+        for w in others[:: max(1, len(others) // 3)][:3]:
+            assert not braid_equivalent(G, v, w, method="direct")
+            assert not braid_equivalent(G, v, w)
 
 
 def test_lattice_verdict_matches_raw_orbits_without_subgroup_prefilter():

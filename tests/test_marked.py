@@ -18,7 +18,7 @@ from hurwitz import (
     parse_marked,
     validate_extra_moves,
 )
-from conftest import el
+from conftest import el, two_sided_orbit
 
 
 def test_family_validation():
@@ -161,3 +161,22 @@ def test_extra_moves_generic_enumeration_matches_quotient(s3, s3_transpositions)
     classes = enumerate_marked_classes(s3, fam, spec)
     # prefixes up to swap: 6 unordered pairs with repeats = 21; tails: 3 letters
     assert len(classes) == 21 * 3
+
+
+def test_extra_moves_orbit_matches_two_sided_closure(s3):
+    from hurwitz import ActionFamily
+
+    # tail braid moves only (the prefix of two stays fixed by them), plus a
+    # rotation of the prefix slots
+    def rot(t):
+        return (t[1], t[0]) + t[2:]
+
+    fam = ActionFamily(prefix_len=2, skip=2, extra_moves=((rot, rot),))
+    for prefix in ((1, 2), (3, 3), (4, 0)):
+        for d in (2, 3):
+            for tail in itertools.product(range(6), repeat=d):
+                full = prefix + tail
+                members = two_sided_orbit(s3, full, lo=2, extra=(rot,))
+                mc = marked_orbit(s3, fam, MarkedVector(prefix, tail))
+                assert mc.size == len(members)
+                assert mc.canonical.full() == min(members)

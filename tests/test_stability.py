@@ -355,3 +355,25 @@ def test_adj_squares_of_conjugates_equal(s3, s3_transpositions):
 def test_adj_rejects_entries_outside_gamma(s3, s3_transpositions):
     with pytest.raises(ValueError, match="outside gamma"):
         adj_word_equal(s3, s3_transpositions, (el(s3, "(123)"),), (el(s3, "(12)"),))
+
+
+def test_adj_word_equal_reuses_its_stabiliser(monkeypatch):
+    import hurwitz.stability
+
+    G = build_builtin("sym:3")
+    gam = make_gamma(G, "all-nontrivial")
+    t12, t13, t23, c3 = (el(G, x) for x in ("(12)", "(13)", "(23)", "(123)"))
+    pairs = [((t12, t12), (t13, t13)), ((t12, t13), (t23, t12)),
+             ((t12, t13), (t12, t23)), ((t12, c3), (c3, t13)), ((c3,), (t12,))]
+
+    def verdicts():
+        return [adj_word_equal(G, gam, v, w, window=3, confirm=1).equivalent for v, w in pairs]
+
+    warm = verdicts()
+
+    def no_stabiliser(*args):
+        raise AssertionError("u_gamma rebuilt on a warm call")
+
+    monkeypatch.setattr(hurwitz.stability, "u_gamma", no_stabiliser)
+    assert verdicts() == warm
+    assert True in warm and False in warm
