@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .braid import Caps, DEFAULT_CAPS, FiberSpec, enumerate_classes, format_tuple, orbit, orbit_members, parse_tuple
+from .braid import (Caps, DEFAULT_CAPS, FiberSpec, _split_top_level, enumerate_classes,
+                    format_tuple, orbit, orbit_members, parse_tuple)
 from .errors import CapExceeded, HomologyError, HurwitzError, ParseError
 from .groups import FiniteGroup, GammaSet, load_group, make_gamma
 from .homology import h2_order, h2_structure
@@ -33,16 +33,6 @@ EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    group_spec: str
-    gamma_spec: str | None
-    caps: Caps
-    fmt: str
-    window: int
-    confirm: int
-
-
 # -- argument parsing helpers -------------------------------------------------
 
 
@@ -60,22 +50,9 @@ def _parse_element(G: FiniteGroup, text: str) -> int:
 
 
 def _parse_gamma(G: FiniteGroup, text: str) -> GammaSet:
-    raw = text.strip()
-    if raw == "all-nontrivial":
+    if text.strip() == "all-nontrivial":
         return make_gamma(G, "all-nontrivial")
-    reps = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(raw + ","):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            tok = raw[start:i].strip()
-            if tok:
-                reps.append(_parse_element(G, tok))
-            start = i + 1
+    reps = [_parse_element(G, tok) for tok, _ in _split_top_level(text, 0) if tok.strip()]
     if not reps:
         raise ParseError("empty gamma spec")
     return make_gamma(G, reps)
@@ -181,15 +158,15 @@ def _class_record(G: FiniteGroup, cls) -> dict:
 # -- commands -------------------------------------------------------------------
 
 
-def _cmd_orbit(args, cfg: RunConfig) -> int:
-    G = load_group(cfg.group_spec)
+def _cmd_orbit(args, caps: Caps) -> int:
+    G = load_group(args.group)
     v = parse_tuple(G, args.tuple)
-    cls = orbit(G, v, cfg.caps.orbit_states)
+    cls = orbit(G, v, caps.orbit_states)
     records = [_class_record(G, cls)]
     if args.members:
-        for member in sorted(orbit_members(G, v, cfg.caps.orbit_states)):
+        for member in sorted(orbit_members(G, v, caps.orbit_states)):
             records.append({"member": list(member)})
-    _emit(records, cfg.fmt, sys.stdout)
+    _emit(records, args.format, sys.stdout)
     return EXIT_OK
 
 
@@ -202,15 +179,15 @@ def _build_fiber_spec(G: FiniteGroup, args, gamma: GammaSet, nu_text: str) -> Fi
     return spec
 
 
-def _cmd_classes(args, cfg: RunConfig) -> int:
-    G = load_group(cfg.group_spec)
-    if cfg.gamma_spec is None:
+def _cmd_classes(args, caps: Caps) -> int:
+    G = load_group(args.group)
+    if args.gamma is None:
         raise ParseError("--gamma is required for classes")
-    gamma = _parse_gamma(G, cfg.gamma_spec)
+    gamma = _parse_gamma(G, args.gamma)
     specs = [_build_fiber_spec(G, args, gamma, text) for text in args.nielsen]
     records = []
     for spec in specs:
-        classes = enumerate_classes(G, spec, cfg.caps, args.method)
+        classes = enumerate_classes(G, spec, caps, args.method)
         for cls in classes:
             records.append(_class_record(G, cls))
         records.append({
@@ -218,17 +195,17 @@ def _cmd_classes(args, cfg: RunConfig) -> int:
             "group": G.label,
             "total_classes": len(classes),
         })
-    _emit(records, cfg.fmt, sys.stdout)
+    _emit(records, args.format, sys.stdout)
     return EXIT_OK
 
 
-def _cmd_stability(args, cfg: RunConfig) -> int:
-    G = load_group(cfg.group_spec)
-    if cfg.gamma_spec is None:
+def _cmd_stability(args, caps: Caps) -> int:
+    G = load_group(args.group)
+    if args.gamma is None:
         raise ParseError("--gamma is required for stability")
-    gamma = _parse_gamma(G, cfg.gamma_spec)
+    gamma = _parse_gamma(G, args.gamma)
     nu0 = _parse_nielsen(G, args.nielsen) if args.nielsen else None
-    report = find_stability_bound(G, gamma, nu0, cfg.window, cfg.confirm, cfg.caps)
+    report = find_stability_bound(G, gamma, nu0, args.window, args.confirm, caps)
     data = report.to_jsonable()
     records = [dict(lv) for lv in data["levels"]]
     records.append({
@@ -243,41 +220,41 @@ def _cmd_stability(args, cfg: RunConfig) -> int:
         ),
         "window": data["window"],
     })
-    _emit(records, cfg.fmt, sys.stdout)
+    _emit(records, args.format, sys.stdout)
     return EXIT_OK if report.bound is not None else EXIT_INDETERMINATE
 
 
-def _cmd_h2(args, cfg: RunConfig) -> int:
-    G = load_group(cfg.group_spec)
-    if cfg.gamma_spec is None:
+def _cmd_h2(args, caps: Caps) -> int:
+    G = load_group(args.group)
+    if args.gamma is None:
         raise ParseError("--gamma is required for h2")
-    gamma = _parse_gamma(G, cfg.gamma_spec)
+    gamma = _parse_gamma(G, args.gamma)
     if args.structure:
-        report = h2_structure(G, gamma, cfg.window, cfg.confirm, cfg.caps)
+        report = h2_structure(G, gamma, args.window, args.confirm, caps)
     else:
-        report = h2_order(G, gamma, cfg.window, cfg.confirm, caps=cfg.caps)
-    _emit([report.to_jsonable()], cfg.fmt, sys.stdout)
+        report = h2_order(G, gamma, args.window, args.confirm, caps=caps)
+    _emit([report.to_jsonable()], args.format, sys.stdout)
     return EXIT_OK
 
 
-def _cmd_stable_eq(args, cfg: RunConfig) -> int:
-    G = load_group(cfg.group_spec)
+def _cmd_stable_eq(args, caps: Caps) -> int:
+    G = load_group(args.group)
     v = parse_tuple(G, args.left)
     w = parse_tuple(G, args.right)
     if args.stabilizer == "ugamma":
-        if cfg.gamma_spec is None:
+        if args.gamma is None:
             raise ParseError("--gamma is required for the ugamma stabilizer")
-        stab = u_gamma(G, _parse_gamma(G, cfg.gamma_spec))
+        stab = u_gamma(G, _parse_gamma(G, args.gamma))
     else:
         stab = make_stabilizer(G, parse_tuple(G, args.stabilizer))
-    result = stable_equivalent(G, v, w, stab, cfg.window, cfg.confirm, cfg.caps)
+    result = stable_equivalent(G, v, w, stab, args.window, args.confirm, caps)
     verdict = {True: "true", False: "false", None: "indeterminate"}[result.equivalent]
     _emit([{
         "verdict": verdict,
         "level": result.level,
         "reason": result.reason,
         "window": result.window,
-    }], cfg.fmt, sys.stdout)
+    }], args.format, sys.stdout)
     if result.equivalent is True:
         return EXIT_OK
     if result.equivalent is False:
@@ -350,16 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        group_spec=args.group,
-        gamma_spec=args.gamma,
-        caps=_parse_caps(args.caps),
-        fmt=args.format,
-        window=args.window,
-        confirm=args.confirm,
-    )
     try:
-        return args.func(args, cfg)
+        return args.func(args, _parse_caps(args.caps))
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

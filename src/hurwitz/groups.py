@@ -540,7 +540,7 @@ def build_from_table(doc: dict | str) -> FiniteGroup:
     """Build a group from a table document (dict or JSON text).
 
     The document has fields ``order`` (int), ``mul`` (n x n array of 0-based
-    indices) and optionally ``names`` (n strings).  The identity must sit at
+    indices) and optionally ``names`` (n distinct strings).  The identity must sit at
     index 0; associativity is checked exhaustively up to order 512.
     """
     if isinstance(doc, str):
@@ -558,11 +558,18 @@ def build_from_table(doc: dict | str) -> FiniteGroup:
         raise GroupTableError(f"bad order {order!r}")
     if order > MAX_ORDER:
         raise GroupTableError(f"order {order} exceeds supported maximum {MAX_ORDER}")
+    if not isinstance(mul, list) or not all(isinstance(row, list) for row in mul):
+        raise GroupTableError("mul must be a list of rows, each a list")
     if len(mul) != order:
         raise GroupTableError(f"mul has {len(mul)} rows, expected {order}")
     names = doc.get("names")
-    if names is not None and len(names) != order:
-        raise GroupTableError(f"names has {len(names)} entries, expected {order}")
+    if names is not None:
+        if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+            raise GroupTableError("names must be a list of strings")
+        if len(names) != order:
+            raise GroupTableError(f"names has {len(names)} entries, expected {order}")
+        if len(set(names)) != order:
+            raise GroupTableError("names must be distinct")
     return FiniteGroup(mul, names, str(doc.get("label", "table")))
 
 

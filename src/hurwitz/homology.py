@@ -16,7 +16,9 @@ stable level and across evaluation slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from math import prod
 
 from .braid import Caps, DEFAULT_CAPS, OrbitClass
 from .errors import HomologyError
@@ -25,7 +27,6 @@ from .lattice import OrbitLattice, get_lattice
 from .stability import (
     DEFAULT_CONFIRM,
     DEFAULT_WINDOW,
-    StabilityReport,
     find_stability_bound,
     u_gamma,
 )
@@ -63,37 +64,36 @@ class TorsorElement:
     node: int  # lattice node id, private to the owning context
 
 
-@dataclass
+@dataclass(frozen=True)
 class TorsorContext:
     """Everything needed to compose classes at one stable level."""
 
-    G: FiniteGroup
-    gamma: GammaSet
     lattice: OrbitLattice
     level: tuple[int, ...]
-    power: int  # k with level = k * nu(u_gamma)
-    stabilizer_word: tuple[int, ...]
     elements: tuple[TorsorElement, ...]
     base: TorsorElement
-    _shifted: dict[int, int]
-
-    def index_of(self, node: int) -> int:
-        for i, el in enumerate(self.elements):
-            if el.node == node:
-                return i
-        raise KeyError(node)
+    _shifted: dict[int, TorsorElement]  # node of x + u^k -> x
 
 
-def _stable_setup(G: FiniteGroup, gamma: GammaSet, window: int, confirm: int,
-                  caps: Caps) -> tuple[StabilityReport, OrbitLattice, tuple[int, ...], int]:
+def _stable_context(G: FiniteGroup, gamma: GammaSet, window: int, confirm: int, caps: Caps):
+    """Search for the stable level once; the invariant is read off it.
+
+    Returns the stability report, the lattice, the level k * nu(u_gamma),
+    the shift word u_gamma^k and the classes at the level that generate
+    the whole group.
+    """
     report = find_stability_bound(G, gamma, None, window, confirm, caps)
     if report.bound is None:
         raise HomologyError(
             f"no stable level found within window {window}: {report.error}")
+    u = u_gamma(G, gamma)
     # levels are (n+1) * nu(u_gamma) since the base level is nu(u_gamma) itself
     k = report.bound + 1
-    level = tuple(k * x for x in u_gamma(G, gamma).nu)
-    return report, get_lattice(G, caps), level, k
+    level = tuple(k * x for x in u.nu)
+    L = get_lattice(G, caps)
+    full = (1 << G.order) - 1
+    nodes = [x for x in L.classes_at(level) if L.sub_bits(x) == full]
+    return report, L, level, u.vector * k, nodes
 
 
 def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
@@ -105,15 +105,13 @@ def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
     the count must split exactly as order x |[G,G]|, and is re-counted at
     ``cross_levels`` further stable levels and per evaluation slice.
     """
-    report, L, level, k = _stable_setup(G, gamma, window, confirm, caps)
-    u = u_gamma(G, gamma)
+    return _order_report(G, _stable_context(G, gamma, window, confirm, caps), cross_levels)
+
+
+def _order_report(G: FiniteGroup, context, cross_levels: int) -> H2Report:
+    report, L, level, shift, nodes = context
     full = (1 << G.order) - 1
     comm = commutator_subgroup(G).size
-
-    def generating_nodes(nu: tuple[int, ...]) -> list[int]:
-        return [x for x in L.classes_at(nu) if L.sub_bits(x) == full]
-
-    nodes = generating_nodes(level)
     count = len(nodes)
     if count == 0 or count % comm != 0:
         raise HomologyError(
@@ -122,19 +120,16 @@ def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
     order = count // comm
     checks = []
     for j in range(1, cross_levels + 1):
-        nu_j = tuple(a + j * b for a, b in zip(level, u.nu))
-        cj = len(generating_nodes(nu_j))
+        nu_j = tuple(a + j * b for a, b in zip(level, report.step))
+        cj = sum(1 for x in L.classes_at(nu_j) if L.sub_bits(x) == full)
         if cj != count:
             raise HomologyError(
                 f"count {cj} at cross-check level {nu_j} differs from {count}")
         checks.append((nu_j, cj))
-    by_ev: dict[int, int] = {}
-    for x in nodes:
-        by_ev[L.ev(x)] = by_ev.get(L.ev(x), 0) + 1
+    by_ev = Counter(L.ev(x) for x in nodes)
     if len(by_ev) != comm or any(c != order for c in by_ev.values()):
         raise HomologyError(
             f"evaluation slices at {level} are uneven: {sorted(by_ev.items())}")
-    base = L.append_word(0, u.vector * k)
     return H2Report(
         order=order,
         structure=None,
@@ -142,7 +137,7 @@ def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
         cross_checks=tuple(checks),
         commutator_order=comm,
         slice_counts=tuple(sorted(by_ev.items())),
-        base_point=L.canonical(base),
+        base_point=L.canonical(L.append_word(0, shift)),
         bound=report.bound,
         confident=report.confident,
     )
@@ -151,35 +146,32 @@ def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
 def torsor_group(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
                  confirm: int = DEFAULT_CONFIRM, caps: Caps = DEFAULT_CAPS) -> TorsorContext:
     """Identity-evaluation slice at a stable level, with its base point."""
-    report, L, level, k = _stable_setup(G, gamma, window, confirm, caps)
-    u = u_gamma(G, gamma)
-    full = (1 << G.order) - 1
-    nodes = [x for x in L.classes_at(level)
-             if L.sub_bits(x) == full and L.ev(x) == 0]
-    elements = tuple(TorsorElement(L.orbit_class(x), x) for x in nodes)
-    base_node = L.append_word(0, u.vector * k)
+    return _torsor(_stable_context(G, gamma, window, confirm, caps))
+
+
+def _torsor(context) -> TorsorContext:
+    _, L, level, shift, nodes = context
+    elements = tuple(TorsorElement(L.orbit_class(x), x) for x in nodes if L.ev(x) == 0)
+    base_node = L.append_word(0, shift)
     base = next(el for el in elements if el.node == base_node)
-    return TorsorContext(G, gamma, L, level, k, u.vector, elements, base, {})
+    shifted: dict[int, TorsorElement] = {}
+    for el in elements:
+        if shifted.setdefault(L.append_word(el.node, shift), el) is not el:
+            raise HomologyError(
+                "composition is not uniquely defined (two classes shift to one); "
+                f"level {level} may be sub-stable")
+    return TorsorContext(L, level, elements, base, shifted)
 
 
 def torsor_compose(ctx: TorsorContext, x: TorsorElement, y: TorsorElement) -> TorsorElement:
     """x . y = unique z at the level with z + u^k ~ x + y."""
     L = ctx.lattice
-    target = L.append_word(x.node, L.canonical(y.node))
-    word = ctx.stabilizer_word * ctx.power
-    matches = []
-    for el in ctx.elements:
-        shifted = ctx._shifted.get(el.node)
-        if shifted is None:
-            shifted = L.append_word(el.node, word)
-            ctx._shifted[el.node] = shifted
-        if shifted == target:
-            matches.append(el)
-    if len(matches) != 1:
+    z = ctx._shifted.get(L.append_word(x.node, L.canonical(y.node)))
+    if z is None:
         raise HomologyError(
-            f"composition is not uniquely defined ({len(matches)} matches); "
+            "composition is not uniquely defined (0 matches); "
             f"level {ctx.level} may be sub-stable")
-    return matches[0]
+    return z
 
 
 def abelian_invariant_factors(order: int, mul, identity: int) -> list[int]:
@@ -228,13 +220,14 @@ def abelian_invariant_factors(order: int, mul, identity: int) -> list[int]:
 def h2_structure(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
                  confirm: int = DEFAULT_CONFIRM, caps: Caps = DEFAULT_CAPS) -> H2Report:
     """Full invariant-factor decomposition via the torsor composition law."""
-    base_report = h2_order(G, gamma, window, confirm, caps=caps)
-    ctx = torsor_group(G, gamma, window, confirm, caps)
+    context = _stable_context(G, gamma, window, confirm, caps)
+    report = _order_report(G, context, 1)
+    ctx = _torsor(context)
     m = len(ctx.elements)
-    if m != base_report.order:
+    if m != report.order:
         raise HomologyError(
             f"identity-evaluation slice has {m} classes but the counted order "
-            f"is {base_report.order}")
+            f"is {report.order}")
     index = {el.node: i for i, el in enumerate(ctx.elements)}
 
     def mul(a: int, b: int) -> int:
@@ -245,20 +238,7 @@ def h2_structure(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
         if mul(i, identity) != i:
             raise HomologyError("base point is not an identity for composition")
     factors = abelian_invariant_factors(m, mul, identity)
-    product = 1
-    for d in factors:
-        product *= d
-    if product != base_report.order:
+    if prod(factors) != report.order:
         raise HomologyError(
-            f"invariant factors {factors} do not multiply to {base_report.order}")
-    return H2Report(
-        order=base_report.order,
-        structure=tuple(factors),
-        stable_level=base_report.stable_level,
-        cross_checks=base_report.cross_checks,
-        commutator_order=base_report.commutator_order,
-        slice_counts=base_report.slice_counts,
-        base_point=base_report.base_point,
-        bound=base_report.bound,
-        confident=base_report.confident,
-    )
+            f"invariant factors {factors} do not multiply to {report.order}")
+    return replace(report, structure=tuple(factors))

@@ -174,7 +174,8 @@ def find_stability_bound(G: FiniteGroup, gamma: GammaSet,
     at least ``confirm`` bijective maps closing the window.
     """
     u = u_gamma(G, gamma)
-    if not subgroup_closure(G, gamma.elements()).is_full():
+    full = (1 << G.order) - 1
+    if u.sub != full:
         raise ValueError("gamma does not generate the group")
     if nu0 is None:
         nu0 = u.nu
@@ -184,7 +185,6 @@ def find_stability_bound(G: FiniteGroup, gamma: GammaSet,
     L = get_lattice(G, caps)
     per_level_nodes: list[list[int]] = []
     per_level_gen: list[list[int]] = []
-    full = (1 << G.order) - 1
     for n in range(window + 1):
         nodes = list(L.classes_at(_add_nu(nu0, u.nu, n)))
         per_level_nodes.append(nodes)
@@ -307,9 +307,9 @@ def fraction_group_check(G: FiniteGroup, gamma: GammaSet,
     localised class monoid, i.e. the monoid of fractions is a group.  The
     search is bounded; exhaustion is indeterminate, not failure.
     """
-    if not subgroup_closure(G, gamma.elements()).is_full():
-        raise ValueError("gamma does not generate the group")
     u = u_gamma(G, gamma)
+    if u.sub != (1 << G.order) - 1:
+        raise ValueError("gamma does not generate the group")
     L = get_lattice(G, caps)
     remaining = set(gamma.elements())
     witnesses: dict[int, int] = {}

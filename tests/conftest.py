@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import os
 
 import pytest
@@ -37,6 +39,11 @@ def q8():
 
 
 @pytest.fixture(scope="session")
+def a4():
+    return build_builtin("alt:4")
+
+
+@pytest.fixture(scope="session")
 def s3_transpositions(s3):
     return make_gamma(s3, [s3.index_of("(12)")])
 
@@ -44,6 +51,16 @@ def s3_transpositions(s3):
 @pytest.fixture(scope="session")
 def s3_all(s3):
     return make_gamma(s3, "all-nontrivial")
+
+
+# table documents that are well-formed JSON but not a group table
+MALFORMED_TABLES = [
+    {"order": 2, "mul": 5},
+    {"order": 2, "mul": [[0, 1], 5]},
+    {"order": 2, "mul": [[0, 1], [1, 0]], "names": 5},
+    {"order": 2, "mul": [[0, 1], [1, 0]], "names": ["e", 7]},
+    {"order": 2, "mul": [[0, 1], [1, 0]], "names": ["e", "e"]},
+]
 
 
 def el(G, name):
@@ -80,3 +97,18 @@ def cli_env(**extra):
     src = os.path.dirname(os.path.dirname(os.path.abspath(hurwitz.__file__)))
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
+
+
+@functools.cache
+def bench_oracles():
+    """The package-free oracles of ``bench/oracles.py``, imported by path.
+
+    The file is only read; the module is not put in ``sys.modules``, so it
+    cannot shadow the benchmark's own ``import oracles``.
+    """
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "oracles.py")
+    spec = importlib.util.spec_from_file_location("_bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 
-from hurwitz.cli import main
+import pytest
+
+from hurwitz import build_builtin, make_gamma
+from hurwitz.cli import _parse_gamma, main
 from hurwitz.stability import DEFAULT_EQ_WINDOW
-from conftest import cli_env
+from conftest import MALFORMED_TABLES, cli_env
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +54,40 @@ def test_malformed_tuple_exits_2_with_position(capsys):
                            "--tuple", "1,zz,3", "--format", "jsonl")
     assert code == 2
     assert "position" in err
+
+
+@pytest.mark.parametrize("caps", ["nodes=abc", "bogus=1", "nodes"])
+def test_malformed_caps_exit_2(capsys, caps):
+    code, out, err = run_cli(capsys, "stable-eq", "--group", "sym:3", "--gamma", "(12)",
+                             "--left", "[(12),(12)]", "--right", "[(13),(13)]",
+                             "--caps", caps, "--format", "jsonl")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("doc", MALFORMED_TABLES)
+def test_malformed_table_file_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "orbit", "--group", str(path),
+                             "--tuple", "1,1", "--format", "jsonl")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_gamma_splits_on_top_level_commas_only():
+    G = build_builtin("sym:3xcyclic:2")
+    want = make_gamma(G, [G.index_of("((12),1)"), G.index_of("((123),0)")])
+    assert _parse_gamma(G, " ((12),1), ((123),0),") == want
+
+
+def test_unbalanced_gamma_exits_2_with_position(capsys):
+    code, _, err = run_cli(capsys, "h2", "--group", "sym:3", "--gamma", "(12",
+                           "--format", "jsonl")
+    assert code == 2
+    assert "unbalanced" in err and "position 3" in err
 
 
 # -- classes -------------------------------------------------------------------

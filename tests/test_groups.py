@@ -13,7 +13,7 @@ from hurwitz import (
     subgroup_closure,
     to_table_doc,
 )
-from conftest import el
+from conftest import MALFORMED_TABLES, el
 
 
 # -- builtin families -----------------------------------------------------------
@@ -152,6 +152,12 @@ def test_identity_not_first_rejected():
     shifted = {"order": 2, "mul": [[1, 0], [0, 1]]}
     with pytest.raises(GroupTableError, match="identity"):
         build_from_table(shifted)
+
+
+@pytest.mark.parametrize("doc", MALFORMED_TABLES)
+def test_malformed_table_document_rejected(doc):
+    with pytest.raises(GroupTableError):
+        build_from_table(json.dumps(doc))
 
 
 def test_table_round_trip(s3):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+import hurwitz.homology
 from hurwitz import (
     HomologyError,
     abelian_invariant_factors,
@@ -8,7 +11,9 @@ from hurwitz import (
     make_gamma,
     torsor_compose,
     torsor_group,
+    u_gamma,
 )
+from conftest import bench_oracles
 
 
 # -- invariant factor helper (independent of the torsor machinery) ---------------
@@ -102,8 +107,7 @@ def test_torsor_base_point_properties(s3, s3_all):
     assert ctx.base.cls.nu == ctx.level
 
 
-def test_torsor_group_table_is_abelian_group(s3, s3_transpositions):
-    ctx = torsor_group(s3, s3_transpositions, window=3)
+def assert_abelian_group_law(ctx):
     els = ctx.elements
     table = {}
     for x in els:
@@ -116,6 +120,76 @@ def test_torsor_group_table_is_abelian_group(s3, s3_transpositions):
                 left = table[(table[(x.node, y.node)], z.node)]
                 right = table[(x.node, table[(y.node, z.node)])]
                 assert left == right
+
+
+def test_torsor_group_table_is_abelian_group(s3, s3_transpositions):
+    assert_abelian_group_law(torsor_group(s3, s3_transpositions, window=3))
+
+
+# -- a nontrivial invariant: alt:4 with the class of (123) ------------------------
+
+
+@pytest.fixture(scope="module")
+def a4_three_cycles(a4):
+    return make_gamma(a4, [a4.index_of("(123)")])
+
+
+@pytest.fixture(scope="module")
+def a4_torsor(a4, a4_three_cycles):
+    return torsor_group(a4, a4_three_cycles, window=2)
+
+
+def test_h2_structure_alt4_three_cycles_is_z2(a4, a4_three_cycles):
+    rep = h2_structure(a4, a4_three_cycles, window=2)
+    assert rep.order == 2 and rep.structure == (2,)
+    assert rep.stable_level == (0, 0, 12, 0)
+    assert rep.commutator_order == 4
+    assert rep.base_point == (2,) * 9 + (4, 4, 4)
+    assert rep.slice_counts == ((0, 2), (3, 2), (8, 2), (11, 2))
+
+
+def test_alt4_torsor_is_an_abelian_group_of_order_2(a4_torsor):
+    assert len(a4_torsor.elements) == 2
+    assert a4_torsor.base in a4_torsor.elements
+    for x in a4_torsor.elements:
+        assert torsor_compose(a4_torsor, x, a4_torsor.base) == x
+    assert_abelian_group_law(a4_torsor)
+
+
+def test_alt4_torsor_matches_sl23_lift(a4, a4_three_cycles, a4_torsor):
+    # independent check: the product of the order-3 lifts to SL(2,3) is a
+    # braid invariant, so z + u^k ~ x + y forces lift(z) lift(u^k) = lift(x) lift(y)
+    oracles = bench_oracles()
+    lift = oracles.LiftingInvariant(a4.names)
+    u = u_gamma(a4, a4_three_cycles)
+    shift = lift.of(u.vector * (sum(a4_torsor.level) // len(u.vector)))
+    els = a4_torsor.elements
+    for x in els:
+        for y in els:
+            z = torsor_compose(a4_torsor, x, y)
+            assert (oracles.mat_mul(lift.of(z.cls.canonical), shift)
+                    == oracles.mat_mul(lift.of(x.cls.canonical), lift.of(y.cls.canonical)))
+    minus_one = (2, 0, 0, 2)
+    assert {lift.of(x.cls.canonical) for x in els} == {oracles.IDENTITY, minus_one}
+
+
+def test_torsor_compose_without_a_match_raises(a4_torsor):
+    ctx = dataclasses.replace(a4_torsor, _shifted={})
+    with pytest.raises(HomologyError, match="not uniquely defined"):
+        torsor_compose(ctx, ctx.base, ctx.base)
+
+
+def test_h2_structure_searches_for_its_stable_level_once(a4, a4_three_cycles, monkeypatch):
+    calls = []
+    search = hurwitz.homology.find_stability_bound
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(hurwitz.homology, "find_stability_bound", counting)
+    h2_structure(a4, a4_three_cycles, window=2)
+    assert len(calls) == 1
 
 
 def test_h2_structure_trivial_cases(s3, s3_transpositions, c4):
