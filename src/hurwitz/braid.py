@@ -85,9 +85,10 @@ def nielsen(G: FiniteGroup, v: tuple[int, ...], skip: int = 0) -> tuple[int, ...
     if skip > len(v):
         raise ValueError(f"skip {skip} exceeds length {len(v)}")
     ct = G.classes
+    class_of = ct.class_of
     counts = [0] * ct.count
     for x in v[skip:]:
-        counts[ct.class_of[x]] += 1
+        counts[class_of[x]] += 1
     return tuple(counts)
 
 

@@ -58,6 +58,16 @@ def _parse_gamma(G: FiniteGroup, text: str) -> GammaSet:
     return make_gamma(G, reps)
 
 
+def _entries(text: str):
+    """Non-empty comma-separated entries, stripped, with their offsets in text."""
+    pos = 0
+    for part in text.split(","):
+        tok = part.strip()
+        if tok:
+            yield tok, pos + len(part) - len(part.lstrip())
+        pos += len(part) + 1
+
+
 def _parse_nielsen(G: FiniteGroup, text: str) -> tuple[int, ...]:
     k = G.classes.count
     counts = [0] * k
@@ -65,20 +75,17 @@ def _parse_nielsen(G: FiniteGroup, text: str) -> tuple[int, ...]:
     if not raw:
         return tuple(counts)
     if ":" in raw:
-        for part in raw.split(","):
-            tok = part.strip()
-            if not tok:
-                continue
+        for tok, pos in _entries(text):
             name, _, value = tok.partition(":")
             if not name.startswith("c"):
-                raise ParseError(f"bad nielsen entry {tok!r}; expected cID:count")
+                raise ParseError(f"bad nielsen entry {tok!r}; expected cID:count", pos)
             try:
                 cid = int(name[1:])
                 cnt = int(value)
             except ValueError:
-                raise ParseError(f"bad nielsen entry {tok!r}") from None
+                raise ParseError(f"bad nielsen entry {tok!r}", pos) from None
             if not 0 <= cid < k:
-                raise ParseError(f"class id {cid} out of range [0, {k})")
+                raise ParseError(f"class id {cid} out of range [0, {k})", pos)
             counts[cid] = cnt
         return tuple(counts)
     parts = [p.strip() for p in raw.split(",")]
@@ -93,21 +100,17 @@ def _parse_nielsen(G: FiniteGroup, text: str) -> tuple[int, ...]:
 def _parse_caps(text: str | None) -> Caps:
     if not text:
         return DEFAULT_CAPS
-    values = {}
-    for part in text.split(","):
-        tok = part.strip()
-        if not tok:
-            continue
-        name, _, value = tok.partition("=")
-        try:
-            values[name.strip()] = int(value)
-        except ValueError:
-            raise ParseError(f"bad caps entry {tok!r}; expected name=integer") from None
     known = {"orbit": "orbit_states", "fiber": "fiber_tuples", "nodes": "lattice_nodes"}
     kwargs = {}
-    for name, val in values.items():
+    for tok, pos in _entries(text):
+        name, _, value = tok.partition("=")
+        name = name.strip()
+        try:
+            val = int(value)
+        except ValueError:
+            raise ParseError(f"bad caps entry {tok!r}; expected name=integer", pos) from None
         if name not in known:
-            raise ParseError(f"unknown cap {name!r}; expected orbit/fiber/nodes")
+            raise ParseError(f"unknown cap {name!r}; expected orbit/fiber/nodes", pos)
         kwargs[known[name]] = val
     return Caps(**{**DEFAULT_CAPS.__dict__, **kwargs})
 

@@ -137,7 +137,7 @@ def _order_report(G: FiniteGroup, context, cross_levels: int) -> H2Report:
         cross_checks=tuple(checks),
         commutator_order=comm,
         slice_counts=tuple(sorted(by_ev.items())),
-        base_point=L.canonical(L.append_word(0, shift)),
+        base_point=L.canonical(L.shift(0, shift)),
         bound=report.bound,
         confident=report.confident,
     )
@@ -152,11 +152,11 @@ def torsor_group(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
 def _torsor(context) -> TorsorContext:
     _, L, level, shift, nodes = context
     elements = tuple(TorsorElement(L.orbit_class(x), x) for x in nodes if L.ev(x) == 0)
-    base_node = L.append_word(0, shift)
+    base_node = L.shift(0, shift)
     base = next(el for el in elements if el.node == base_node)
     shifted: dict[int, TorsorElement] = {}
     for el in elements:
-        if shifted.setdefault(L.append_word(el.node, shift), el) is not el:
+        if shifted.setdefault(L.shift(el.node, shift), el) is not el:
             raise HomologyError(
                 "composition is not uniquely defined (two classes shift to one); "
                 f"level {level} may be sub-stable")

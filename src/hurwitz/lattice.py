@@ -36,6 +36,12 @@ class sets per Nielsen type come from extending the complete sets one level
 below (every class has a representative ending in any class with positive
 count, because braid moves carry an entry to the last slot within its
 conjugacy class).
+
+Stabiliser words are appended over and over (stability searches,
+stable-equivalence verdicts, homology shifts), so their append maps are
+memoised per word: `shift` stores rep(node) + word for each node it has
+folded, and `shift_level` stores, per (word, level), the images of the
+level's classes whose subgroup contains the word's.
 """
 
 from __future__ import annotations
@@ -77,6 +83,10 @@ class OrbitLattice:
         self._classes_at: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._sub_memo: dict[tuple[int, int], int] = {}
         self._first_letters: dict[int, int] = {}
+        # stabiliser append maps: word -> {node: node + word}, and
+        # (word, level) -> (domain classes, their images)
+        self._shifts: dict[tuple[int, ...], dict[int, int]] = {}
+        self._level_shifts: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         # canonical representatives are bytes when every letter fits in one
         if n <= 256:
             self._letters: list = [bytes((a,)) for a in range(n)]
@@ -230,6 +240,38 @@ class OrbitLattice:
             except KeyError:
                 node = self._new_class(node, g)
         return node
+
+    def shift(self, node: int, word: tuple[int, ...]) -> int:
+        """Class of rep(node) + word, memoised per word.
+
+        For a stabiliser that is appended again and again: the first call
+        folds `append_word` (building exactly the nodes it builds), later
+        calls are one lookup.  A fold that raises stores nothing.
+        """
+        images = self._shifts.get(word)
+        if images is None:
+            images = self._shifts[word] = {}
+        hit = images.get(node)
+        if hit is None:
+            hit = images[node] = self.append_word(node, word)
+        return hit
+
+    def shift_level(self, nu: tuple[int, ...], word: tuple[int, ...],
+                    sub: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The append of ``word`` on a level: (domain, images), memoised.
+
+        The domain is the classes at ``nu`` whose subgroup contains ``sub``,
+        the bits of the subgroup ``word`` generates, in `classes_at` order;
+        images are parallel to it.
+        """
+        key = (word, nu)
+        hit = self._level_shifts.get(key)
+        if hit is None:
+            sub_of = self._sub
+            domain = tuple(x for x in self.classes_at(nu) if sub & ~sub_of[x] == 0)
+            hit = (domain, tuple(self.shift(x, word) for x in domain))
+            self._level_shifts[key] = hit
+        return hit
 
     def class_of(self, v: tuple[int, ...]) -> int:
         """Identify the class of an arbitrary tuple by folding appends."""

@@ -14,6 +14,13 @@ equivalence check; a "false" is final once every explored further append is
 injective on the enclosing class sets, and carries the same empirical
 confidence as the discovered bound.  Running out of window is reported as
 indeterminate, never coerced to false.
+
+A lattice keeps each stabiliser's append map (`OrbitLattice.shift` for
+one class, `shift_level` for the domain classes of a level), so a repeated
+verdict or search reads it by lookup instead of folding the stabiliser
+again.  Its memory grows with the number of stabiliser words times the
+classes each has shifted; only completed folds are stored, so a
+`CapExceeded` leaves nothing behind and answers do not depend on history.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 from .braid import Caps, DEFAULT_CAPS, OrbitClass, evaluate, nielsen
 from .groups import FiniteGroup, GammaSet, subgroup_closure
-from .lattice import OrbitLattice, get_lattice
+from .lattice import get_lattice
 
 DEFAULT_WINDOW = 4
 DEFAULT_EQ_WINDOW = DEFAULT_WINDOW * 2
@@ -90,7 +97,7 @@ def stabilize_map(G: FiniteGroup, domain: list[OrbitClass], u: Stabilizer,
     pairs = []
     image_nodes = []
     for c in domain:
-        node = L.append_word(L.class_of(c.canonical), u.vector)
+        node = L.shift(L.class_of(c.canonical), u.vector)
         image_nodes.append(node)
         pairs.append((c.canonical, L.canonical(node)))
     if codomain is None:
@@ -173,6 +180,8 @@ def find_stability_bound(G: FiniteGroup, gamma: GammaSet,
     from which every further explored map is bijective; ``confident`` marks
     at least ``confirm`` bijective maps closing the window.
     """
+    if confirm < 0:
+        raise ValueError(f"confirm must be non-negative, got {confirm}")
     u = u_gamma(G, gamma)
     full = (1 << G.order) - 1
     if u.sub != full:
@@ -191,7 +200,8 @@ def find_stability_bound(G: FiniteGroup, gamma: GammaSet,
         per_level_gen.append([x for x in nodes if L.sub_bits(x) == full])
     flags: list[tuple[bool, bool]] = []
     for n in range(window):
-        images = [L.append_word(x, u.vector) for x in per_level_gen[n]]
+        # u generates the group, so the append's domain is the generating classes
+        _, images = L.shift_level(_add_nu(nu0, u.nu, n), u.vector, u.sub)
         injective = len(set(images)) == len(images)
         surjective = set(images) == set(per_level_gen[n + 1])
         flags.append((injective, surjective))
@@ -249,6 +259,8 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     the enclosing class sets (with ``confirm`` such levels), mirroring the
     empirical stability bound; otherwise the result is indeterminate.
     """
+    if confirm < 0:
+        raise ValueError(f"confirm must be non-negative, got {confirm}")
     base_nu = nielsen(G, v)
     if base_nu != nielsen(G, w):
         return StableEqResult(False, 0, "nielsen-type mismatch", window)
@@ -260,14 +272,15 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     if node_v == node_w:
         return StableEqResult(True, 0, "braid equivalent", window)
     for level in range(1, window + 1):
-        node_v = L.append_word(node_v, u.vector)
-        node_w = L.append_word(node_w, u.vector)
+        node_v = L.shift(node_v, u.vector)
+        node_w = L.shift(node_w, u.vector)
         if node_v == node_w:
             return StableEqResult(True, level, f"equivalent after {level} appends", window)
     # no equality anywhere in the window: look for an injective tail
     injective_from: int | None = None
     for step in range(window - 1, 0, -1):
-        if _append_step_injective(L, _add_nu(base_nu, u.nu, step), u):
+        domain, images = L.shift_level(_add_nu(base_nu, u.nu, step), u.vector, u.sub)
+        if len(set(images)) == len(domain):
             injective_from = step
         else:
             break
@@ -277,12 +290,6 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
             f"distinct at level {injective_from} and all {window - injective_from} "
             "further explored appends are injective", window)
     return StableEqResult(None, None, "window exhausted without a stable verdict", window)
-
-
-def _append_step_injective(L: OrbitLattice, nu: tuple[int, ...], u: Stabilizer) -> bool:
-    domain = [x for x in L.classes_at(nu) if u.sub & ~L.sub_bits(x) == 0]
-    images = {L.append_word(x, u.vector) for x in domain}
-    return len(images) == len(domain)
 
 
 # -- fraction monoid and adjoint words --------------------------------------------
@@ -315,7 +322,7 @@ def fraction_group_check(G: FiniteGroup, gamma: GammaSet,
     witnesses: dict[int, int] = {}
     node = 0
     for n in range(1, max_power + 1):
-        node = L.append_word(node, u.vector)
+        node = L.shift(node, u.vector)
         heads = L.first_letters(node)
         for g in sorted(remaining):
             if (heads >> g) & 1:
@@ -374,6 +381,6 @@ def factor_witness(G: FiniteGroup, w: tuple[int, ...], u: tuple[int, ...],
     for cand in L.classes_at(nu_v):
         if L.sub_bits(cand) != full:
             continue
-        if L.append_word(cand, tuple(u)) == target:
+        if L.shift(cand, tuple(u)) == target:
             return L.canonical(cand)
     return None

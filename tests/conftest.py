@@ -99,16 +99,20 @@ def cli_env(**extra):
     return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
 
 
-@functools.cache
-def bench_oracles():
-    """The package-free oracles of ``bench/oracles.py``, imported by path.
+def load_repo_file(*parts):
+    """Import a file of this repository by path, e.g. ``("bench", "oracles.py")``.
 
     The file is only read; the module is not put in ``sys.modules``, so it
-    cannot shadow the benchmark's own ``import oracles``.
+    cannot shadow an ``import`` of the same name elsewhere.
     """
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "bench", "oracles.py")
-    spec = importlib.util.spec_from_file_location("_bench_oracles", path)
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), *parts)
+    spec = importlib.util.spec_from_file_location("_" + parts[-1].removesuffix(".py"), path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@functools.cache
+def bench_oracles():
+    """The package-free oracles of ``bench/oracles.py``."""
+    return load_repo_file("bench", "oracles.py")

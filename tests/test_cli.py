@@ -66,6 +66,33 @@ def test_malformed_caps_exit_2(capsys, caps):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, position", [
+    (["stable-eq", "--left", "1", "--right", "1", "--caps", "orbit=1,nodes=abc"], 8),
+    (["stable-eq", "--left", "1", "--right", "1", "--caps", "orbit=1, bogus=1"], 9),
+    (["classes", "--nielsen", "c1:2,cx:1"], 5),
+    (["classes", "--nielsen", "c1:2, c7:1"], 6),
+])
+def test_entry_parse_errors_give_the_entry_offset(capsys, argv, position):
+    code, out, err = run_cli(capsys, *argv, "--group", "sym:3", "--gamma", "(12)",
+                             "--format", "jsonl")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"(at position {position})" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability"],
+    ["h2", "--structure"],
+    ["stable-eq", "--left", "[(12),(12)]", "--right", "[(13),(13)]"],
+])
+def test_negative_confirm_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--group", "sym:3", "--gamma", "(12)",
+                             "--window", "1", "--confirm", "-1", "--format", "jsonl")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "confirm" in err
+
+
 @pytest.mark.parametrize("doc", MALFORMED_TABLES)
 def test_malformed_table_file_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

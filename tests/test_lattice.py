@@ -16,6 +16,7 @@ from hurwitz import (
     make_gamma,
     orbit,
     orbit_members,
+    u_gamma,
 )
 from hurwitz.lattice import OrbitLattice, get_lattice
 
@@ -176,6 +177,25 @@ def test_node_cap_counts_new_nodes_only():
     fresh = OrbitLattice(G)
     assert ([L.canonical(n) for n in L.classes_at((0, 6, 6))]
             == [fresh.canonical(n) for n in fresh.classes_at((0, 6, 6))])
+
+
+def test_shift_memo_stores_completed_folds_only():
+    G = build_builtin("sym:3")
+    u = u_gamma(G, make_gamma(G, "all-nontrivial"))
+    word, nu = u.vector * 3, tuple(3 * x for x in u.nu)
+    L = OrbitLattice(G, max_nodes=10)
+    with pytest.raises(CapExceeded):
+        L.shift(0, word)
+    with pytest.raises(CapExceeded):
+        L.shift_level(nu, u.vector, u.sub)
+    assert not L._shifts.get(word) and not L._level_shifts
+    L.limit_new_nodes(10**6)
+    fresh = OrbitLattice(G)
+    image = L.shift(0, word)
+    assert L._shifts[word] == {0: image}
+    assert L.canonical(image) == fresh.canonical(fresh.append_word(0, word))
+    assert L.node_count() == fresh.node_count()
+    assert L.shift(0, word) == image
 
 
 def test_deep_level_sizes_sum_to_fiber(s3):

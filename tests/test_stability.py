@@ -17,11 +17,13 @@ from hurwitz import (
     make_stabilizer,
     nielsen,
     orbit_members,
+    sigma,
     stable_equivalent,
     stabilize_map,
     subgroup_closure,
     u_gamma,
 )
+from hurwitz.lattice import OrbitLattice, get_lattice
 from conftest import el
 
 
@@ -172,6 +174,15 @@ def test_bound_requires_generating_gamma(s3):
         find_stability_bound(s3, gam)
 
 
+def test_negative_confirm_rejected(s3, s3_transpositions):
+    u = u_gamma(s3, s3_transpositions)
+    t12 = el(s3, "(12)")
+    with pytest.raises(ValueError, match="confirm"):
+        find_stability_bound(s3, s3_transpositions, window=1, confirm=-1)
+    with pytest.raises(ValueError, match="confirm"):
+        stable_equivalent(s3, (t12,), (t12,), u, confirm=-1)
+
+
 def test_bound_not_found_within_tiny_window(s3, s3_transpositions):
     # base level below any surjectivity: a single transposition cannot map
     # onto the level-one class set bijectively
@@ -302,6 +313,99 @@ def test_stable_eq_is_equivalence_on_fibers(s3, s3_all):
     for v, w in list(verdicts):
         assert verdicts[(v, w)] == verdicts[(w, v)]
         assert verdicts[(v, v)] is True
+
+
+# -- stabiliser append memo --------------------------------------------------------------
+
+
+def a4_pair():
+    """A fresh alt:4 (so a cold lattice) with gamma the two 3-cycle classes."""
+    G = build_builtin("alt:4")
+    return G, make_gamma(G, [el(G, "(123)"), el(G, "(132)")])
+
+
+def distinct_generating_classes(G, nu):
+    """Canonical reps of two generating classes at ``nu`` with one evaluation."""
+    L = OrbitLattice(G)
+    full = (1 << G.order) - 1
+    by_ev = {}
+    for x in L.classes_at(nu):
+        if L.sub_bits(x) == full:
+            by_ev.setdefault(L.ev(x), []).append(L.canonical(x))
+    return next(vs[:2] for vs in by_ev.values() if len(vs) >= 2)
+
+
+def test_memoised_shifts_match_fresh_folds():
+    s3 = build_builtin("sym:3")
+    G, gam = a4_pair()
+    searches = [(G, gam, 2), (s3, make_gamma(s3, "all-nontrivial"), 4),
+                (s3, make_gamma(s3, [el(s3, "(12)")]), 4)]
+    for H, gamma, window in searches:
+        find_stability_bound(H, gamma, None, window, 2)
+    v, w = distinct_generating_classes(G, (0, 3, 3, 0))
+    assert stable_equivalent(G, v, w, u_gamma(G, gam), window=3).equivalent is False
+    for H in (G, s3):
+        L, fresh = get_lattice(H), OrbitLattice(H)
+        full = (1 << H.order) - 1
+        # every stabiliser here generates the group, so domains are the
+        # generating classes
+        for (word, nu), (domain, images) in L._level_shifts.items():
+            assert domain == tuple(x for x in L.classes_at(nu) if L.sub_bits(x) == full)
+            assert images == tuple(L._shifts[word][x] for x in domain)
+        checked = 0
+        for word, shifted in L._shifts.items():
+            for node, image in shifted.items():
+                cold = fresh.append_word(fresh.class_of(L.canonical(node)), word)
+                assert fresh.canonical(cold) == L.canonical(image)
+                checked += 1
+        assert checked >= 20
+
+
+def test_stable_outcomes_do_not_depend_on_history():
+    G, gam = a4_pair()
+    a, b = el(G, "(123)"), el(G, "(134)")
+    v, w = distinct_generating_classes(G, (0, 3, 3, 0))
+    pairs = [((a,) * 3, (b,) * 3), ((a, a, b), (b, b, a)), (v, w), (v, sigma(G, 2, v)),
+             distinct_generating_classes(G, (0, 4, 2, 0))]
+
+    def outcomes(G, gamma):
+        u = u_gamma(G, gamma)
+        return ([find_stability_bound(G, gamma, None, 1, 1)]
+                + [stable_equivalent(G, x, y, u, window=3) for x, y in pairs])
+
+    cold = outcomes(*a4_pair())
+    assert [r.equivalent for r in cold[1:]] == [True, False, False, True, False]
+    G, gam = a4_pair()
+    u = u_gamma(G, gam)
+    # a different stream first: other windows, confirms and base levels,
+    # and the same stabiliser through the other callers of the memo
+    find_stability_bound(G, gam, (0, 3, 3, 0), 2, 0)
+    for x, y in reversed(pairs):
+        stable_equivalent(G, y, x, u, window=2, confirm=1)
+        factor_witness(G, x + u.vector, u.vector)
+    fraction_group_check(G, gam)
+    assert outcomes(G, gam) == cold
+
+
+def test_warm_false_verdict_is_a_lookup(monkeypatch):
+    G, gam = a4_pair()
+    u = u_gamma(G, gam)
+    v, w = distinct_generating_classes(G, (0, 4, 2, 0))
+    warm = stable_equivalent(G, v, w, u, window=3)
+    assert warm.equivalent is False
+    fold = OrbitLattice.append_word
+
+    def no_classes_at(self, nu):
+        raise AssertionError("classes_at called on a warm verdict")
+
+    def no_fold_of_u(self, node, word):
+        if word == u.vector:
+            raise AssertionError("u folded again on a warm verdict")
+        return fold(self, node, word)
+
+    monkeypatch.setattr(OrbitLattice, "classes_at", no_classes_at)
+    monkeypatch.setattr(OrbitLattice, "append_word", no_fold_of_u)
+    assert stable_equivalent(G, v, w, u, window=3) == warm
 
 
 # -- fraction monoid --------------------------------------------------------------------
