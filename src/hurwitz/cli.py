@@ -58,14 +58,17 @@ def _parse_gamma(G: FiniteGroup, text: str) -> GammaSet:
     return make_gamma(G, reps)
 
 
-def _entries(text: str):
-    """Non-empty comma-separated entries, stripped, with their offsets in text."""
+def _fields(text: str):
+    """Comma-separated entries, stripped, with their offsets in text."""
     pos = 0
     for part in text.split(","):
-        tok = part.strip()
-        if tok:
-            yield tok, pos + len(part) - len(part.lstrip())
+        yield part.strip(), pos + len(part) - len(part.lstrip())
         pos += len(part) + 1
+
+
+def _entries(text: str):
+    """The non-empty ``_fields`` of text."""
+    return ((tok, pos) for tok, pos in _fields(text) if tok)
 
 
 def _parse_nielsen(G: FiniteGroup, text: str) -> tuple[int, ...]:
@@ -88,13 +91,15 @@ def _parse_nielsen(G: FiniteGroup, text: str) -> tuple[int, ...]:
                 raise ParseError(f"class id {cid} out of range [0, {k})", pos)
             counts[cid] = cnt
         return tuple(counts)
-    parts = [p.strip() for p in raw.split(",")]
+    parts = list(_fields(text))
     if len(parts) != k:
         raise ParseError(f"nielsen vector has {len(parts)} entries, group has {k} classes")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"bad nielsen vector {raw!r}") from None
+    for i, (tok, pos) in enumerate(parts):
+        try:
+            counts[i] = int(tok)
+        except ValueError:
+            raise ParseError(f"bad nielsen vector {raw!r}", pos) from None
+    return tuple(counts)
 
 
 def _parse_caps(text: str | None) -> Caps:

@@ -261,6 +261,8 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     """
     if confirm < 0:
         raise ValueError(f"confirm must be non-negative, got {confirm}")
+    if window < 0:
+        raise ValueError(f"window must be non-negative, got {window}")
     base_nu = nielsen(G, v)
     if base_nu != nielsen(G, w):
         return StableEqResult(False, 0, "nielsen-type mismatch", window)

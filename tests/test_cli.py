@@ -71,6 +71,8 @@ def test_malformed_caps_exit_2(capsys, caps):
     (["stable-eq", "--left", "1", "--right", "1", "--caps", "orbit=1, bogus=1"], 9),
     (["classes", "--nielsen", "c1:2,cx:1"], 5),
     (["classes", "--nielsen", "c1:2, c7:1"], 6),
+    (["classes", "--nielsen", "0,x,2"], 2),
+    (["classes", "--nielsen", " 0, 1 ,y"], 7),
 ])
 def test_entry_parse_errors_give_the_entry_offset(capsys, argv, position):
     code, out, err = run_cli(capsys, *argv, "--group", "sym:3", "--gamma", "(12)",
@@ -91,6 +93,15 @@ def test_negative_confirm_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "confirm" in err
+
+
+def test_negative_window_exits_2(capsys):
+    code, out, err = run_cli(capsys, "stable-eq", "--group", "sym:3", "--gamma", "(12)",
+                             "--left", "[(12),(12)]", "--right", "[(13),(13)]",
+                             "--window", "-2", "--format", "jsonl")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "window" in err
 
 
 @pytest.mark.parametrize("doc", MALFORMED_TABLES)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from hurwitz import (
     subgroup_closure,
     to_table_doc,
 )
-from conftest import MALFORMED_TABLES, el
+from conftest import MALFORMED_TABLES, bench_oracles, el
 
 
 # -- builtin families -----------------------------------------------------------
@@ -105,11 +106,19 @@ def test_order_cap_enforced():
         build_builtin("sym:6xsym:6")
 
 
-def test_sampled_validation_beyond_exhaustive_cap():
-    # order above the exhaustive-associativity cap takes the sampled path
+def test_exhaustive_validation_at_order_600():
+    # associativity is checked exhaustively at every order, this one included
     G = build_builtin("cyclic:600")
     assert G.order == 600
     assert G.element_order(1) == 600
+
+
+@pytest.mark.parametrize("spec, degree", [
+    ("sym:1", 1), ("sym:2", 2), ("alt:3", 3), ("sym:5", 5), ("alt:6", 6),
+])
+def test_permutation_tables_match_oracle(spec, degree):
+    G = build_builtin(spec)
+    assert G.mul == bench_oracles().TableGroup.from_permutations(G.names, degree).mul
 
 
 def test_element_orders_and_powers(s3, q8):
@@ -146,6 +155,100 @@ def test_corrupted_table_names_witness():
         build_from_table(bad)
     # the error carries a concrete witness (a failing triple or axiom)
     assert any(ch.isdigit() for ch in str(exc.value))
+
+
+def _failing_triples(mul):
+    """Every (a, b, c) with (a*b)*c != a*(b*c), by brute force over n^3."""
+    n = len(mul)
+    return [(a, b, c) for a in range(n) for b in range(n) for c in range(n)
+            if mul[mul[a][b]][c] != mul[a][mul[b][c]]]
+
+
+def _has_identity_and_inverses(mul):
+    """The checks the validator makes besides associativity."""
+    n = len(mul)
+    if any(mul[0][x] != x or mul[x][0] != x for x in range(n)):
+        return False
+    return all(0 in row and mul[row.index(0)][a] == 0 for a, row in enumerate(mul))
+
+
+def _assert_rejected_with_witness(mul):
+    """The table is rejected, and the reported triple really fails associativity."""
+    with pytest.raises(GroupTableError, match="associativity") as exc:
+        build_from_table({"order": len(mul), "mul": mul})
+    m = re.search(r"associativity fails at \((\d+), (\d+), (\d+)\)", str(exc.value))
+    a, b, c = map(int, m.groups())
+    assert mul[mul[a][b]][c] != mul[a][mul[b][c]]
+    return a, b, c
+
+
+def _octonion_unit_loop():
+    """The 16 units +-e0..+-e7 under octonion multiplication, +-e_i at 2i, 2i+1."""
+    sign_axis = {(0, i): (1, i) for i in range(8)}
+    sign_axis.update({(i, 0): (1, i) for i in range(8)})
+    sign_axis.update({(i, i): (-1, 0) for i in range(1, 8)})
+    for i, j, k in ((1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 6, 5)):
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            sign_axis[x, y] = (1, z)
+            sign_axis[y, x] = (-1, z)
+
+    def mul(a, b):
+        s, axis = sign_axis[a // 2, b // 2]
+        return 2 * axis + ((a + b) % 2 if s > 0 else 1 - (a + b) % 2)
+
+    return [[mul(a, b) for b in range(16)] for a in range(16)]
+
+
+def test_planted_error_above_old_exhaustive_order_rejected():
+    # one corrupted entry in an order-600 table; sampling 20,000 of the
+    # 216,000,000 triples misses it, an exhaustive check does not
+    n = 600
+    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    mul[5][7] = 13
+    assert _assert_rejected_with_witness(mul) == (4, 1, 7)
+
+
+def test_octonion_unit_loop_rejected():
+    mul = _octonion_unit_loop()
+    assert _has_identity_and_inverses(mul)
+    # alternative and flexible, so any two elements associate (Artin) ...
+    for x in range(16):
+        for y in range(16):
+            assert mul[mul[x][x]][y] == mul[x][mul[x][y]]
+            assert mul[mul[y][x]][x] == mul[y][mul[x][x]]
+            assert mul[mul[x][y]][x] == mul[x][mul[y][x]]
+    # ... but the loop is not a group
+    assert len(_failing_triples(mul)) == 1344
+    _assert_rejected_with_witness(mul)
+
+
+@pytest.mark.parametrize("spec", ["sym:3", "quaternion:8"])
+def test_single_entry_changes_match_brute_force(spec):
+    table = build_builtin(spec).mul
+    n = len(table)
+    survivors = 0
+    for i, j in itertools.product(range(1, n), repeat=2):
+        for value in range(n):
+            if value == table[i][j]:
+                continue
+            mul = [row[:] for row in table]
+            mul[i][j] = value
+            if not _has_identity_and_inverses(mul):
+                continue
+            survivors += 1
+            if _failing_triples(mul):
+                _assert_rejected_with_witness(mul)
+            else:
+                assert build_from_table({"order": n, "mul": mul}).mul == mul
+    assert survivors > 0
+
+
+@pytest.mark.parametrize("entry", [-1, 4, 1.0, "1", None])
+def test_bad_entry_named(entry):
+    bad = {"order": 4, "mul": [row[:] for row in KLEIN_TABLE["mul"]]}
+    bad["mul"][2][3] = entry
+    with pytest.raises(GroupTableError, match=r"entry mul\[2\]\[3\] = .* out of range"):
+        build_from_table(bad)
 
 
 def test_identity_not_first_rejected():

@@ -183,6 +183,15 @@ def test_negative_confirm_rejected(s3, s3_transpositions):
         stable_equivalent(s3, (t12,), (t12,), u, confirm=-1)
 
 
+def test_negative_window_rejected(s3, s3_transpositions):
+    u = u_gamma(s3, s3_transpositions)
+    t12, t13 = el(s3, "(12)"), el(s3, "(13)")
+    with pytest.raises(ValueError, match="window"):
+        stable_equivalent(s3, (t12, t12), (t13, t13), u, window=-2)
+    # window 0 still looks at the pair as given
+    assert stable_equivalent(s3, (t12,), (t12,), u, window=0).equivalent is True
+
+
 def test_bound_not_found_within_tiny_window(s3, s3_transpositions):
     # base level below any surjectivity: a single transposition cannot map
     # onto the level-one class set bijectively
