@@ -230,16 +230,7 @@ def _validate_table(mul: list[list[int]]) -> None:
     gens: list[int] = []
     a = 0
     while True:
-        # the span of gens: right-multiplication BFS from the identity
-        span = [True] + [False] * (n - 1)
-        frontier = [0]
-        for y in frontier:
-            row = rows[y]
-            for g in gens:
-                z = row[g]
-                if not span[z]:
-                    span[z] = True
-                    frontier.append(z)
+        span = _span(rows, gens)
         while a < n and span[a]:
             a += 1
         if a == n:
@@ -254,6 +245,22 @@ def _validate_table(mul: list[list[int]]) -> None:
                     f"({x}*{a})*{c} = {lhs_row[c]} but {x}*({a}*{c}) = {rhs_row[c]}"
                 )
         gens.append(a)
+
+
+def _span(rows: Sequence[Sequence[int]], gens: list[int]) -> list[bool]:
+    """Membership list of the span of ``gens``: right-multiplication BFS from
+    the identity (in a finite group the monoid a set generates is a group)."""
+    span = [False] * len(rows)
+    span[0] = True
+    frontier = [0]
+    for y in frontier:
+        row = rows[y]
+        for g in gens:
+            z = row[g]
+            if not span[z]:
+                span[z] = True
+                frontier.append(z)
+    return span
 
 
 def _inverse_table(mul: list[list[int]]) -> list[int]:
@@ -293,23 +300,18 @@ def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> SubgroupMask:
 
 
 def _closure(mul: list[list[int]], seed: Iterable[int]) -> int:
-    elems = {0}
-    frontier = [0]
+    # a seed element outside the span so far at least doubles it, so at most
+    # log2 n of them are kept as generators: O(n log^2 n) in all
+    gens: list[int] = []
+    span = _span(mul, gens)
     for s in seed:
-        if s not in elems:
-            elems.add(s)
-            frontier.append(s)
-    # multiply every new element against everything known, both sides
-    while frontier:
-        x = frontier.pop()
-        for y in list(elems):
-            for z in (mul[x][y], mul[y][x]):
-                if z not in elems:
-                    elems.add(z)
-                    frontier.append(z)
+        if not span[s]:
+            gens.append(s)
+            span = _span(mul, gens)
     bits = 0
-    for x in elems:
-        bits |= 1 << x
+    for x, inside in enumerate(span):
+        if inside:
+            bits |= 1 << x
     return bits
 
 
@@ -421,24 +423,20 @@ def _build_sym(n: int, even_only: bool = False) -> tuple[list[list[int]], list[s
 
 
 def _build_cyclic(n: int) -> tuple[list[list[int]], list[str]]:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    # row i is range(n) rotated left by i
+    r = list(range(n))
+    table = [r[i:] + r[:i] for i in range(n)]
     return table, [str(i) for i in range(n)]
 
 
 def _build_dihedral(n: int) -> tuple[list[list[int]], list[str]]:
-    # index i < n: rotation r^i; index n+i: reflection s r^i
-    def mul(a: int, b: int) -> int:
-        fa, ia = divmod(a, n)
-        fb, ib = divmod(b, n)
-        if fa == 0 and fb == 0:
-            return (ia + ib) % n
-        if fa == 0:
-            return n + (ib - ia) % n
-        if fb == 0:
-            return n + (ia + ib) % n
-        return (ib - ia) % n
-
-    table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
+    # index i < n: rotation r^i; index n+i: reflection s r^i.  Every row is
+    # two rotations: r^i r^j = r^(i+j), r^i s r^j = s r^(j-i),
+    # s r^i r^j = s r^(i+j) and s r^i s r^j = r^(j-i)
+    rot = list(range(n))
+    ref = list(range(n, 2 * n))
+    table = [rot[i:] + rot[:i] + ref[n - i:] + ref[:n - i] for i in range(n)]
+    table += [ref[i:] + ref[:i] + rot[n - i:] + rot[:n - i] for i in range(n)]
     names = ["e"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
     names += ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, n)]
     return table, names

@@ -25,17 +25,32 @@ touching only as many nodes as there are classes below X.  Orbit sizes at
 deep levels are astronomical; canonical representatives stay a few dozen
 letters long.
 
-A state is packed as the single int c * n + a (n the group order); a node
-keeps its states as a sorted tuple of these ints, which is the order of the
-(c, a) pairs.  The same int is the key of the one memo, which maps every
-state of every class built to its node.  Equivalence of two tuples is
-therefore a fold of one-letter appends followed by an id comparison, and a
-memo miss on a start state always begins a new class.  `append_word` is that
-memo fold: one dict lookup per letter, a call only on a miss.  Complete
-class sets per Nielsen type come from extending the complete sets one level
-below (every class has a representative ending in any class with positive
-count, because braid moves carry an entry to the last slot within its
-conjugacy class).
+A state (c, a) is packed as the single int c * n + a (n the group order),
+which is also an index into the one append table, `_next`: a flat list with
+a row of n slots per node, appended when the node is built.  Slot c * n + a
+holds the row base t * n of the class t of rep(c) + (a,), or -1 while that
+class is unbuilt, so every state of every class built is a filled slot
+pointing at its own row.  The folds (`append`, `append_word`, `_new_class`,
+`first_letters`) run on row bases, test a miss with `< 0` and divide by n
+once when they return; every public method takes and returns node ids.
+Row bases are the shared int objects of `_bases`, so a slot costs one
+pointer.  A node keeps its states in sorted order as two fields: `_pre`, a
+tuple of the prefix row bases (again the `_bases` objects), and `_let`,
+the last letters as `bytes` (a tuple above order 256, the split that
+canonical representatives make).  Equivalence of two tuples is therefore a
+fold of one-letter appends followed by an id comparison, and a table miss
+on a start state always begins a new class.  `append_word` is that fold:
+one list subscript per letter, a call only on a miss.  Complete class sets
+per Nielsen type come from extending the complete sets one level below
+(every class has a representative ending in any class with positive count,
+because braid moves carry an entry to the last slot within its conjugacy
+class).
+
+A row costs 8 * n bytes whatever its fill.  Lattices built level by level
+fill most of it (65% for alt:4 up to (0, 36, 36, 0), 80% for sym:3 up to
+(0, 24, 24)), so the table takes far less than a dict keyed by state; a
+sparse lattice takes more, such as the classes of 40 random triples over
+alt:6 (2% fill, about three times the memory of the dict).
 
 Stabiliser words are appended over and over (stability searches,
 stable-equivalence verdicts, homology shifts), so their append maps are
@@ -70,8 +85,11 @@ class OrbitLattice:
         self._class_of = ct.class_of
         self._members = ct.members
         self._nclasses = ct.count
-        # node storage, parallel lists indexed by node id
-        self._states: list[tuple[int, ...]] = []  # sorted states c * n + a
+        # node storage, parallel lists indexed by node id; a node's states
+        # (c, a), sorted, are the pairs of _pre and _let
+        self._bases: list[int] = []  # node * n, one shared int per node
+        self._pre: list[tuple[int, ...]] = []  # prefix row bases c * n
+        self._let: list = []  # last letters a
         self._size: list[int] = []
         self._ev: list[int] = []
         self._sub: list[int] = []
@@ -79,7 +97,10 @@ class OrbitLattice:
         self._canon: list = []
         self._levels: dict[tuple[int, ...], int] = {}
         self._level_list: list[tuple[int, ...]] = []
-        self._append_memo: dict[int, int] = {}  # state -> node of its class
+        # the append table: slot c * n + a holds the row base of the class
+        # of rep(c) + (a,), or -1 while it is unbuilt
+        self._next: list[int] = []
+        self._empty_row = [-1] * n
         self._classes_at: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._sub_memo: dict[tuple[int, int], int] = {}
         self._first_letters: dict[int, int] = {}
@@ -87,18 +108,23 @@ class OrbitLattice:
         # (word, level) -> (domain classes, their images)
         self._shifts: dict[tuple[int, ...], dict[int, int]] = {}
         self._level_shifts: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        # canonical representatives are bytes when every letter fits in one
+        # canonical representatives and last letters are bytes when every
+        # letter fits in one
         if n <= 256:
             self._letters: list = [bytes((a,)) for a in range(n)]
-            empty = b""
+            self._word_of = bytes
         else:
             self._letters = [(a,) for a in range(n)]
-            empty = ()
+            self._word_of = tuple
+        empty = self._word_of()
         # node 0: the empty tuple's class
         zero = (0,) * self._nclasses
         self._levels[zero] = 0
         self._level_list.append(zero)
-        self._states.append(())
+        self._bases.append(0)
+        self._pre.append(())
+        self._let.append(empty)
+        self._next.extend(self._empty_row)
         self._size.append(1)
         self._ev.append(0)
         self._sub.append(1)  # {identity}
@@ -160,24 +186,26 @@ class OrbitLattice:
 
     def append(self, node: int, g: int) -> int:
         """Class of rep(node) + (g,): the one-letter extension."""
-        # the builder lives apart so that a memo hit runs in a short frame
-        hit = self._append_memo.get(node * self._n + g)
-        if hit is None:
-            hit = self._new_class(node, g)
-        return hit
+        # the builder lives apart so that a table hit runs in a short frame
+        n = self._n
+        hit = self._next[node * n + g]
+        if hit < 0:
+            hit = self._new_class(node * n, g)
+        return hit // n
 
-    def _new_class(self, node: int, g: int) -> int:
-        """Build the class of rep(node) + (g,), whose start state is no memo key.
+    def _new_class(self, base: int, g: int) -> int:
+        """Build the class of rep(base // n) + (g,), whose slot is unfilled.
 
-        The memo holds every state of every class built, so the start state
-        begins a new class; misses inside the closure only reach lower levels.
+        Takes and returns row bases.  The table holds every state of every
+        class built, so the start state begins a new class; misses inside
+        the closure only reach lower levels.
         """
         n = self._n
-        memo = self._append_memo
+        nxt = self._next
         fwd_of = self._fwd
         new_class = self._new_class
-        states_of = self._states
-        start = node * n + g
+        pre_of, let_of = self._pre, self._let
+        start = base + g
         seen = {start}
         stack = [start]
         pop, push, add = stack.pop, stack.append, seen.add
@@ -185,19 +213,18 @@ class OrbitLattice:
             p = pop()
             a = p % n
             fwd = fwd_of[a]
-            for q in states_of[p // n]:
-                b = q % n
-                base = q - b
+            x = p // n
+            for q, b in zip(pre_of[x], let_of[x]):
                 # forward move on the last two strands: (b, a) -> (a, b^a)
-                try:
-                    child = memo[base + a]
-                except KeyError:
-                    child = new_class(base // n, a)
-                s = child * n + fwd[b]
+                child = nxt[q + a]
+                if child < 0:
+                    child = new_class(q, a)
+                s = child + fwd[b]
                 if s not in seen:
                     add(s)
                     push(s)
-        states = tuple(sorted(seen))
+        states = sorted(seen)
+        node = base // n
         base_level = self.level(node)
         cid = self._class_of[g]
         level = base_level[:cid] + (base_level[cid] + 1,) + base_level[cid + 1 :]
@@ -205,41 +232,55 @@ class OrbitLattice:
         if nid >= self.max_nodes:
             raise CapExceeded(f"class lattice exceeds node cap at level {level}",
                               nid - self._cap_base, "new nodes")
+        # everything that can raise comes before the first append, so that
+        # the parallel node lists stay in step
+        ev = self._mul[self._ev[node]][g]
+        sub = self._subgroup_with(self._sub[node], g)
+        lid = self._level_index(level)
         # plain loops: a comprehension would make n a closure cell, which
         # slows every use of n in the loop above
-        size, canon, letters = self._size, self._canon, self._letters
+        bases, size, canon, letters = self._bases, self._size, self._canon, self._letters
         total = 0
         best = None
+        pre = []
+        let = []
         for p in states:
             c = p // n
+            a = p - c * n
+            pre.append(bases[c])
+            let.append(a)
             total += size[c]
-            word = canon[c] + letters[p - c * n]
+            word = canon[c] + letters[a]
             if best is None or word < best:
                 best = word
-        states_of.append(states)
+        mine = nid * n
+        bases.append(mine)
+        pre_of.append(tuple(pre))
+        let_of.append(self._word_of(let))
         size.append(total)
         canon.append(best)
-        self._ev.append(self._mul[self._ev[node]][g])
-        self._sub.append(self._subgroup_with(self._sub[node], g))
-        self._level_id.append(self._level_index(level))
+        self._ev.append(ev)
+        self._sub.append(sub)
+        self._level_id.append(lid)
+        nxt += self._empty_row
         # every state of the class is itself a one-letter extension landing here
-        memo.update(dict.fromkeys(states, nid))
-        return nid
+        for p in states:
+            nxt[p] = mine
+        return mine
 
     def append_word(self, node: int, word: tuple[int, ...]) -> int:
-        """Class of rep(node) + word: the memo fold, `append` inlined per letter.
+        """Class of rep(node) + word: the table fold, `append` inlined per letter.
 
-        A memo hit costs one dict subscript and no call (a subscript is
-        cheaper than `memo.get`); only a miss calls `_new_class`.
+        A hit costs one list subscript and no call; only a miss calls
+        `_new_class`.
         """
-        memo = self._append_memo
+        nxt = self._next
         n = self._n
+        base = node * n
         for g in word:
-            try:
-                node = memo[node * n + g]
-            except KeyError:
-                node = self._new_class(node, g)
-        return node
+            hit = nxt[base + g]
+            base = hit if hit >= 0 else self._new_class(base, g)
+        return base // n
 
     def shift(self, node: int, word: tuple[int, ...]) -> int:
         """Class of rep(node) + word, memoised per word.
@@ -308,9 +349,9 @@ class OrbitLattice:
             return hit
         n = self._n
         bits = 0
-        for p in self._states[node]:
-            # a state below n extends the empty class, so its letter is p
-            bits |= (1 << p) if p < n else self.first_letters(p // n)
+        for c, a in zip(self._pre[node], self._let[node]):
+            # a state on row 0 extends the empty class, so its letter is a
+            bits |= (1 << a) if c == 0 else self.first_letters(c // n)
         self._first_letters[node] = bits
         return bits
 

@@ -14,6 +14,7 @@ from hurwitz import (
     subgroup_closure,
     to_table_doc,
 )
+from hurwitz.groups import SubgroupMask, _build_cyclic, _build_dihedral, closure_bits
 from conftest import MALFORMED_TABLES, bench_oracles, el
 
 
@@ -59,6 +60,26 @@ def test_dihedral4():
     assert G.element_order(s) == 2
     # s r s = r^-1
     assert G.prod(G.prod(s, r), s) == G.inv[r]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+def test_rotation_tables_match_entrywise_formulas(n):
+    # the row slicing of the cyclic and dihedral builders against the
+    # entry-by-entry formulas of the presentation
+    def dihedral_mul(a, b):
+        fa, ia = divmod(a, n)
+        fb, ib = divmod(b, n)
+        if fa == 0 and fb == 0:
+            return (ia + ib) % n
+        if fa == 0:
+            return n + (ib - ia) % n
+        if fb == 0:
+            return n + (ia + ib) % n
+        return (ib - ia) % n
+
+    assert _build_cyclic(n)[0] == [[(i + j) % n for j in range(n)] for i in range(n)]
+    assert _build_dihedral(n)[0] == [[dihedral_mul(a, b) for b in range(2 * n)]
+                                     for a in range(2 * n)]
 
 
 def test_alt_groups():
@@ -340,6 +361,18 @@ def test_closure_idempotent_and_monotone(seed_a, seed_b):
     assert again.bits == a.bits
     bigger = subgroup_closure(G, seed_a + seed_b)
     assert a.issubset(bigger)
+
+
+@given(st.lists(st.integers(0, 23), max_size=3), st.integers(0, 23))
+@settings(max_examples=60, deadline=None)
+def test_closure_matches_pairwise_oracle(seed, extra):
+    # the generator-span closure against the oracle's all-pairs closure
+    G = build_builtin("sym:4")
+    oracle = bench_oracles().TableGroup(G.mul)
+    m = subgroup_closure(G, seed)
+    assert set(m.elements()) == oracle.subgroup(seed)
+    grown = SubgroupMask(closure_bits(G.mul, m.bits, extra), G.order)
+    assert set(grown.elements()) == oracle.subgroup(seed + [extra])
 
 
 def test_commutator_subgroups(s3, c4, klein, q8):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -101,12 +102,54 @@ def test_lattice_rebuild_is_deterministic(s3):
 
 
 def assert_memo_matches_states(L):
-    """No state belongs to two nodes, and the memo maps each state to its node."""
+    """No state belongs to two nodes, the append table maps each state to its
+    node, and every filled slot of the table is a state of its node."""
+    n = L._n
+    assert len(L._next) == n * L.node_count()
     owner = {}
     for node in range(1, L.node_count()):
-        for p in L._states[node]:
+        pre, let = L._pre[node], L._let[node]
+        assert len(pre) == len(let) > 0
+        states = [c + a for c, a in zip(pre, let)]
+        assert states == sorted(set(states))
+        for p in states:
             assert owner.setdefault(p, node) == node
-    assert owner == L._append_memo
+    filled = {p: t // n for p, t in enumerate(L._next) if t >= 0}
+    assert all(t % n == 0 for t in L._next if t >= 0)
+    assert owner == filled
+
+
+def test_lattice_above_order_256_matches_raw_bfs():
+    # above order 256 last letters and canonical representatives are tuples
+    G = build_builtin("alt:6")
+    L = OrbitLattice(G)
+    assert isinstance(L._let[0], tuple)
+    rng = random.Random(6)
+    for _ in range(40):
+        v = tuple(rng.randrange(G.order) for _ in range(3))
+        node = L.class_of(v)
+        o = orbit(G, v)
+        assert L.canonical(node) == o.canonical
+        assert L.size(node) == o.size
+        assert L.ev(node) == o.ev
+        assert L.level(node) == o.nu
+        assert L.sub_bits(node) == o.subgroup.bits
+    assert_memo_matches_states(L)
+
+
+def test_lattice_bytes_per_node():
+    # the append table and the per-node state fields, measured as allocated
+    # bytes per node over a whole build (a state-keyed dict took 869)
+    L = OrbitLattice(build_builtin("alt:4"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        L.classes_at((0, 36, 36, 0))
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert L.node_count() == 16_389
+    assert allocated / L.node_count() <= 600
 
 
 def test_node_counts_are_pinned():
@@ -158,6 +201,35 @@ def test_lattice_node_cap():
     L = OrbitLattice(G, max_nodes=10)
     with pytest.raises(CapExceeded):
         L.classes_at((0, 4, 4))
+
+
+def test_cap_error_from_a_deep_build_carries_no_chain():
+    # the nested builds run outside any exception handler, so the cap error
+    # keeps no chained exception, and with it no frame, per nesting level
+    G = build_builtin("sym:3")
+    rng = random.Random(5)
+    v = tuple(rng.randrange(1, 6) for _ in range(40))
+    L = OrbitLattice(G, max_nodes=300)
+    with pytest.raises(CapExceeded) as exc:
+        L.class_of(v)
+    assert exc.value.__context__ is None
+    assert exc.value.__cause__ is None
+
+
+def test_failed_build_leaves_the_node_lists_in_step(s3):
+    # a letter outside the group makes the build raise after its closure;
+    # no per-node list may have grown for it, or every later node would
+    # read another node's subgroup and level
+    L = OrbitLattice(s3)
+    with pytest.raises(ValueError):
+        L.class_of((1, -1))
+    lists = (L._bases, L._pre, L._let, L._size, L._canon, L._ev, L._sub, L._level_id)
+    assert {len(x) for x in lists} == {L.node_count()}
+    assert_memo_matches_states(L)
+    fresh = OrbitLattice(s3)
+    nu = (0, 2, 2)
+    assert ([(L.canonical(x), L.sub_bits(x), L.level(x)) for x in L.classes_at(nu)]
+            == [(fresh.canonical(x), fresh.sub_bits(x), fresh.level(x)) for x in fresh.classes_at(nu)])
 
 
 def test_node_cap_counts_new_nodes_only():
