@@ -49,6 +49,9 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
+# How `braid_equivalent` and `enumerate_classes` find orbits.
+METHODS = ("lattice", "direct")
+
 Move = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
@@ -191,6 +194,7 @@ def braid_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     whose subgroups differ therefore builds both classes before it returns
     False.
     """
+    _check_method(method)
     if len(v) != len(w):
         return False
     if v == w:
@@ -207,6 +211,11 @@ def braid_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
 
     L = get_lattice(G, caps)
     return L.class_of(v) == L.class_of(w)
+
+
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 # -- fibers -------------------------------------------------------------------
@@ -356,6 +365,7 @@ def enumerate_classes(G: FiniteGroup, spec: FiberSpec, caps: Caps = DEFAULT_CAPS
     classes through the shared lattice and scales to fibers far beyond
     direct reach.  Both return classes sorted by canonical representative.
     """
+    _check_method(method)
     spec.validate(G)
     if method == "direct":
         return _enumerate_direct(G, spec, caps)
@@ -394,12 +404,13 @@ def _enumerate_direct(G: FiniteGroup, spec: FiberSpec, caps: Caps) -> list[Orbit
 # -- text I/O -----------------------------------------------------------------
 
 
-def _split_top_level(text: str, offset: int) -> list[tuple[str, int]]:
-    """Split on commas not nested in parentheses; keeps char offsets."""
+def _split_top_level(text: str, offset: int = 0) -> list[tuple[str, int]]:
+    """Entries between commas outside parentheses, each stripped, with the
+    offset where it starts in the caller's text (``text`` begins at ``offset``)."""
     parts: list[tuple[str, int]] = []
     depth = 0
     start = 0
-    for i, ch in enumerate(text):
+    for i, ch in enumerate(text + ","):  # the sentinel comma closes the last entry
         if ch == "(":
             depth += 1
         elif ch == ")":
@@ -407,11 +418,11 @@ def _split_top_level(text: str, offset: int) -> list[tuple[str, int]]:
             if depth < 0:
                 raise ParseError("unbalanced ')'", offset + i)
         elif ch == "," and depth == 0:
-            parts.append((text[start:i], offset + start))
+            part = text[start:i]
+            parts.append((part.strip(), offset + i - len(part.lstrip())))
             start = i + 1
     if depth != 0:
         raise ParseError("unbalanced '('", offset + len(text))
-    parts.append((text[start:], offset + start))
     return parts
 
 
@@ -429,19 +440,15 @@ def parse_tuple(G: FiniteGroup, text: str) -> tuple[int, ...]:
         if not inner.strip():
             return ()
         entries = []
-        for token, pos in _split_top_level(inner, text.index("[") + 1):
-            name = token.strip()
-            at = pos + len(token) - len(token.lstrip())
+        for name, at in _split_top_level(inner, text.index("[") + 1):
             if name not in G.names:
                 raise ParseError(f"unknown element name {name!r}", at)
             entries.append(G.names.index(name))
         return tuple(entries)
     entries = []
-    for token, pos in _split_top_level(raw, text.index(raw[0])):
-        tok = token.strip()
-        at = pos + len(token) - len(token.lstrip())
+    for tok, at in _split_top_level(raw, text.index(raw[0])):
         if not tok:
-            raise ParseError("empty entry", pos)
+            raise ParseError("empty entry", at)
         try:
             x = int(tok)
         except ValueError:

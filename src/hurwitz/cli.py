@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .braid import (Caps, DEFAULT_CAPS, FiberSpec, _split_top_level, enumerate_classes,
-                    format_tuple, orbit, orbit_members, parse_tuple)
+from .braid import (Caps, DEFAULT_CAPS, METHODS, FiberSpec, _split_top_level,
+                    enumerate_classes, format_tuple, orbit, orbit_members, parse_tuple)
 from .errors import CapExceeded, HomologyError, HurwitzError, ParseError
 from .groups import FiniteGroup, GammaSet, load_group, make_gamma
 from .homology import h2_order, h2_structure
@@ -52,23 +52,10 @@ def _parse_element(G: FiniteGroup, text: str) -> int:
 def _parse_gamma(G: FiniteGroup, text: str) -> GammaSet:
     if text.strip() == "all-nontrivial":
         return make_gamma(G, "all-nontrivial")
-    reps = [_parse_element(G, tok) for tok, _ in _split_top_level(text, 0) if tok.strip()]
+    reps = [_parse_element(G, tok) for tok, _ in _split_top_level(text) if tok]
     if not reps:
         raise ParseError("empty gamma spec")
     return make_gamma(G, reps)
-
-
-def _fields(text: str):
-    """Comma-separated entries, stripped, with their offsets in text."""
-    pos = 0
-    for part in text.split(","):
-        yield part.strip(), pos + len(part) - len(part.lstrip())
-        pos += len(part) + 1
-
-
-def _entries(text: str):
-    """The non-empty ``_fields`` of text."""
-    return ((tok, pos) for tok, pos in _fields(text) if tok)
 
 
 def _parse_nielsen(G: FiniteGroup, text: str) -> tuple[int, ...]:
@@ -78,7 +65,9 @@ def _parse_nielsen(G: FiniteGroup, text: str) -> tuple[int, ...]:
     if not raw:
         return tuple(counts)
     if ":" in raw:
-        for tok, pos in _entries(text):
+        for tok, pos in _split_top_level(text):
+            if not tok:
+                continue
             name, _, value = tok.partition(":")
             if not name.startswith("c"):
                 raise ParseError(f"bad nielsen entry {tok!r}; expected cID:count", pos)
@@ -91,7 +80,7 @@ def _parse_nielsen(G: FiniteGroup, text: str) -> tuple[int, ...]:
                 raise ParseError(f"class id {cid} out of range [0, {k})", pos)
             counts[cid] = cnt
         return tuple(counts)
-    parts = list(_fields(text))
+    parts = _split_top_level(text)
     if len(parts) != k:
         raise ParseError(f"nielsen vector has {len(parts)} entries, group has {k} classes")
     for i, (tok, pos) in enumerate(parts):
@@ -107,7 +96,9 @@ def _parse_caps(text: str | None) -> Caps:
         return DEFAULT_CAPS
     known = {"orbit": "orbit_states", "fiber": "fiber_tuples", "nodes": "lattice_nodes"}
     kwargs = {}
-    for tok, pos in _entries(text):
+    for tok, pos in _split_top_level(text):
+        if not tok:
+            continue
         name, _, value = tok.partition("=")
         name = name.strip()
         try:
@@ -189,8 +180,6 @@ def _build_fiber_spec(G: FiniteGroup, args, gamma: GammaSet, nu_text: str) -> Fi
 
 def _cmd_classes(args, caps: Caps) -> int:
     G = load_group(args.group)
-    if args.gamma is None:
-        raise ParseError("--gamma is required for classes")
     gamma = _parse_gamma(G, args.gamma)
     specs = [_build_fiber_spec(G, args, gamma, text) for text in args.nielsen]
     records = []
@@ -209,8 +198,6 @@ def _cmd_classes(args, caps: Caps) -> int:
 
 def _cmd_stability(args, caps: Caps) -> int:
     G = load_group(args.group)
-    if args.gamma is None:
-        raise ParseError("--gamma is required for stability")
     gamma = _parse_gamma(G, args.gamma)
     nu0 = _parse_nielsen(G, args.nielsen) if args.nielsen else None
     report = find_stability_bound(G, gamma, nu0, args.window, args.confirm, caps)
@@ -234,8 +221,6 @@ def _cmd_stability(args, caps: Caps) -> int:
 
 def _cmd_h2(args, caps: Caps) -> int:
     G = load_group(args.group)
-    if args.gamma is None:
-        raise ParseError("--gamma is required for h2")
     gamma = _parse_gamma(G, args.gamma)
     if args.structure:
         report = h2_structure(G, gamma, args.window, args.confirm, caps)
@@ -281,18 +266,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, window: int = DEFAULT_WINDOW) -> None:
+    # --gamma only where gamma (its `required`) is given, --window/--confirm
+    # only where window (its default) is given: each command has the flags it reads
+    def common(p: argparse.ArgumentParser, gamma: bool | None = None,
+               window: int | None = None) -> None:
         p.add_argument("--group", required=True,
                        help="builtin spec (e.g. sym:3, cyclic:2xcyclic:2) or a table file path")
-        p.add_argument("--gamma", default=None,
-                       help="'all-nontrivial' or comma-separated class representatives")
+        if gamma is not None:
+            p.add_argument("--gamma", required=gamma,
+                           help="'all-nontrivial' or comma-separated class representatives")
         p.add_argument("--caps", default=None,
                        help="limits, e.g. orbit=1000000,fiber=1000000,nodes=500000")
         p.add_argument("--format", default="pretty", choices=("jsonl", "tsv", "pretty"))
-        p.add_argument("--window", type=int, default=window,
-                       help="how many stabiliser appends to explore")
-        p.add_argument("--confirm", type=int, default=DEFAULT_CONFIRM,
-                       help="bijective levels required to close a window confidently")
+        if window is not None:
+            p.add_argument("--window", type=int, default=window,
+                           help="how many stabiliser appends to explore")
+            p.add_argument("--confirm", type=int, default=DEFAULT_CONFIRM,
+                           help="bijective levels required to close a window confidently")
 
     p_orbit = sub.add_parser("orbit", help="expand one braid orbit")
     common(p_orbit)
@@ -301,29 +291,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.set_defaults(func=_cmd_orbit)
 
     p_classes = sub.add_parser("classes", help="enumerate classes in invariant fibers")
-    common(p_classes)
+    common(p_classes, gamma=True)
     p_classes.add_argument("--nielsen", action="append", required=True,
                            help='class counts "c1:2,c2:0" or a full vector "0,2,0"; repeatable')
     p_classes.add_argument("--ev", default=None, help="pin the evaluation (name or index)")
     p_classes.add_argument("--generating", action="store_true",
                            help="keep only classes generating the whole group")
-    p_classes.add_argument("--method", default="lattice", choices=("lattice", "direct"),
+    p_classes.add_argument("--method", default="lattice", choices=METHODS,
                            help="class lattice, or brute-force orbit search (the reference)")
     p_classes.set_defaults(func=_cmd_classes)
 
     p_stab = sub.add_parser("stability", help="find an empirical stability bound")
-    common(p_stab)
+    common(p_stab, gamma=True, window=DEFAULT_WINDOW)
     p_stab.add_argument("--nielsen", default=None, help="base level (default: nu of the gamma stabiliser)")
     p_stab.set_defaults(func=_cmd_stability)
 
     p_h2 = sub.add_parser("h2", help="order (and structure) of the stable-count invariant")
-    common(p_h2)
+    common(p_h2, gamma=True, window=DEFAULT_WINDOW)
     p_h2.add_argument("--structure", action="store_true",
                       help="also compute invariant factors via torsor composition")
     p_h2.set_defaults(func=_cmd_h2)
 
     p_eq = sub.add_parser("stable-eq", help="decide stable equivalence of two tuples")
-    common(p_eq, window=DEFAULT_EQ_WINDOW)
+    common(p_eq, gamma=False, window=DEFAULT_EQ_WINDOW)
     p_eq.add_argument("--left", required=True, help="first tuple")
     p_eq.add_argument("--right", required=True, help="second tuple")
     p_eq.add_argument("--stabilizer", default="ugamma",

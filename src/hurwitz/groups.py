@@ -92,18 +92,19 @@ class GammaSet:
 class FiniteGroup:
     """Immutable multiplication-table group; derived tables are cached.
 
-    Do not mutate ``mul``/``inv`` after construction: groups are shared
-    freely across threads and cached structures assume they never change.
+    Do not mutate ``mul``/``inv`` after construction: cached structures
+    assume they never change.  A group is not safe to share across threads:
+    the class lattice that `lattice.get_lattice` attaches to it grows on
+    every query and takes no lock.
     """
 
     def __init__(self, mul: Sequence[Sequence[int]], names: Sequence[str] | None = None,
-                 label: str = "table", validate: bool = True):
+                 label: str = "table"):
         self.order = len(mul)
         self.mul = [list(row) for row in mul]
         self.names = list(names) if names is not None else None
         self.label = label
-        if validate:
-            _validate_table(self.mul)
+        _validate_table(self.mul)
         self.inv = _inverse_table(self.mul)
         self._conj_table: list[list[int]] | None = None
         self._classes: ConjClassTable | None = None
@@ -133,11 +134,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def name_of(self, a: int) -> str:
-        if self.names is not None:
-            return self.names[a]
-        return str(a)
 
     def index_of(self, name: str) -> int:
         if self.names is None:

@@ -69,7 +69,7 @@ from .groups import FiniteGroup, SubgroupMask, closure_bits
 
 
 class OrbitLattice:
-    def __init__(self, G: FiniteGroup, max_nodes: int = DEFAULT_CAPS.lattice_nodes):
+    def __init__(self, G: FiniteGroup):
         # identification recurses one level per letter; allow long words
         if sys.getrecursionlimit() < 10_000:
             sys.setrecursionlimit(10_000)
@@ -130,7 +130,7 @@ class OrbitLattice:
         self._sub.append(1)  # {identity}
         self._level_id.append(0)
         self._canon.append(empty)
-        self.limit_new_nodes(max_nodes)
+        self.limit_new_nodes(DEFAULT_CAPS.lattice_nodes)
 
     # -- accessors ---------------------------------------------------------
 

@@ -2,14 +2,14 @@
 
 An `ActionFamily` acts on tuples of shape prefix + tail: the built-in moves
 are the braid moves on the tail's d positions, so restricted to the tail
-the action is exactly the one from `braid`.  The marked family (prefix of
-width k, Nielsen skip k) models covers carrying k extra markings: two
-marked vectors are equivalent iff the prefixes agree and the tails are
-braid equivalent, so class sets factor as G^k x (tail classes).
+the action is exactly the one from `braid`.  Nielsen types count the tail
+only.  The marked family (prefix of width k) models covers carrying k extra
+markings: two marked vectors are equivalent iff the prefixes agree and the
+tails are braid equivalent, so class sets factor as G^k x (tail classes).
 
 User-supplied extra moves on the full tuple are accepted as (move, inverse)
-pairs; they are validated by sampling (invertibility, length and skipped
-Nielsen preservation), not proved.  Enumeration with extra moves falls back
+pairs; they are validated by sampling (invertibility, length and the tail's
+Nielsen type), not proved.  Enumeration with extra moves falls back
 to brute closure over raw tuples: the kernel `braid._closure` shared with
 the plain orbit oracle, restricted to the tail positions and run with both
 directions of each extra move.
@@ -40,17 +40,14 @@ from .lattice import get_lattice
 
 @dataclass(frozen=True)
 class ActionFamily:
-    """Shape of the action: prefix width, Nielsen skip, optional extra moves."""
+    """Shape of the action: prefix width, optional extra moves."""
 
     prefix_len: int
-    skip: int
     extra_moves: tuple[tuple[Move, Move], ...] = ()
 
     def __post_init__(self):
         if self.prefix_len < 0:
             raise ValueError("prefix width must be nonnegative")
-        if not 0 <= self.skip <= self.prefix_len:
-            raise ValueError("Nielsen skip must satisfy 0 <= skip <= prefix width")
 
 
 @dataclass(frozen=True)
@@ -68,12 +65,12 @@ class MarkedClass:
 
     canonical: MarkedVector
     size: int
-    nu: tuple[int, ...]  # generalized Nielsen type (entries past the skip)
+    nu: tuple[int, ...]  # Nielsen type of the tail
 
 
 def marked_family(k: int) -> ActionFamily:
-    """Markings are plain labels: prefix width k, all k skipped by Nielsen."""
-    return ActionFamily(prefix_len=k, skip=k)
+    """Markings are plain labels: a prefix of width k."""
+    return ActionFamily(prefix_len=k)
 
 
 def parse_family(spec: str) -> ActionFamily:
@@ -103,25 +100,29 @@ def parse_marked(G: FiniteGroup, family: ActionFamily, text: str) -> MarkedVecto
 
 
 def marked_nielsen(G: FiniteGroup, family: ActionFamily, mv: MarkedVector) -> tuple[int, ...]:
-    """Class counts of the entries past the family's skip."""
-    return nielsen(G, mv.full(), skip=family.skip)
+    """Class counts of the tail entries."""
+    return nielsen(G, mv.full(), skip=family.prefix_len)
 
 
-def validate_extra_moves(G: FiniteGroup, family: ActionFamily, length: int,
-                         samples: int = 64, seed: int = 0) -> None:
+# Random tuples each extra move is checked on, drawn from a fixed seed.
+_MOVE_SAMPLES = 64
+
+
+def validate_extra_moves(G: FiniteGroup, family: ActionFamily, length: int) -> None:
     """Spot-check that extra moves are invertible and invariant-preserving."""
-    rng = random.Random(seed)
-    total = family.prefix_len + length
+    rng = random.Random(0)
+    skip = family.prefix_len
+    total = skip + length
     for fwd, inv in family.extra_moves:
-        for _ in range(samples):
+        for _ in range(_MOVE_SAMPLES):
             t = tuple(rng.randrange(G.order) for _ in range(total))
             u = fwd(t)
             if len(u) != total:
                 raise ValueError("extra move changed the tuple length")
             if inv(u) != t:
                 raise ValueError("extra move failed the inverse check on a sample")
-            if nielsen(G, u, family.skip) != nielsen(G, t, family.skip):
-                raise ValueError("extra move changed the skipped Nielsen type")
+            if nielsen(G, u, skip) != nielsen(G, t, skip):
+                raise ValueError("extra move changed the tail's Nielsen type")
 
 
 _accepted_moves: set = set()

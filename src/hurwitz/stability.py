@@ -34,7 +34,8 @@ from .lattice import get_lattice
 DEFAULT_WINDOW = 4
 DEFAULT_EQ_WINDOW = DEFAULT_WINDOW * 2
 DEFAULT_CONFIRM = 2
-DEFAULT_FRACTION_POWERS = 5
+# Stabiliser powers `fraction_group_check` searches for first letters.
+FRACTION_POWERS = 5
 
 
 @dataclass(frozen=True)
@@ -308,7 +309,6 @@ class FractionCheck:
 
 
 def fraction_group_check(G: FiniteGroup, gamma: GammaSet,
-                         max_power: int = DEFAULT_FRACTION_POWERS,
                          caps: Caps = DEFAULT_CAPS) -> FractionCheck:
     """Check that every gamma element heads some member of a stabiliser power.
 
@@ -323,7 +323,7 @@ def fraction_group_check(G: FiniteGroup, gamma: GammaSet,
     remaining = set(gamma.elements())
     witnesses: dict[int, int] = {}
     node = 0
-    for n in range(1, max_power + 1):
+    for n in range(1, FRACTION_POWERS + 1):
         node = L.shift(node, u.vector)
         heads = L.first_letters(node)
         for g in sorted(remaining):
@@ -331,9 +331,9 @@ def fraction_group_check(G: FiniteGroup, gamma: GammaSet,
                 witnesses[g] = n
                 remaining.discard(g)
         if not remaining:
-            return FractionCheck(True, tuple(sorted(witnesses.items())), (), max_power)
+            return FractionCheck(True, tuple(sorted(witnesses.items())), (), FRACTION_POWERS)
     return FractionCheck(None, tuple(sorted(witnesses.items())),
-                         tuple(sorted(remaining)), max_power)
+                         tuple(sorted(remaining)), FRACTION_POWERS)
 
 
 def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],

@@ -197,6 +197,17 @@ def test_braid_equivalent_examples(s3):
     assert not braid_equivalent(s3, (t12, t13), (t12, t23))
 
 
+@pytest.mark.parametrize("method", ["direkt", "Direct", ""])
+def test_unknown_method_raises(s3, s3_transpositions, method):
+    # a misspelt method is an error, not a silent lattice run; checked before
+    # the prefilters, so even a pair equal on its face raises
+    t12 = el(s3, "(12)")
+    with pytest.raises(ValueError, match="unknown method"):
+        braid_equivalent(s3, (t12,), (t12,), method=method)
+    with pytest.raises(ValueError, match="unknown method"):
+        enumerate_classes(s3, FiberSpec(nu=(0, 2, 0), gamma=s3_transpositions), method=method)
+
+
 def test_braid_equivalent_methods_agree(s3, s4):
     rng = random.Random(13)
     for _ in range(120):
@@ -395,10 +406,12 @@ def test_parse_tuple_errors_carry_position(s3):
     with pytest.raises(ParseError) as exc:
         parse_tuple(s3, "1,xx,3")
     assert exc.value.position == 2
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_tuple(s3, "[(12),(99)]")
-    with pytest.raises(ParseError):
+    assert exc.value.position == 6
+    with pytest.raises(ParseError) as exc:
         parse_tuple(s3, "1,9")
+    assert exc.value.position == 2
 
 
 def test_format_round_trip(s3):

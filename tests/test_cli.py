@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from hurwitz import build_builtin, make_gamma
-from hurwitz.cli import _parse_gamma, main
+from hurwitz.cli import _parse_gamma, build_parser, main
 from hurwitz.stability import DEFAULT_EQ_WINDOW
 from conftest import MALFORMED_TABLES, cli_env
 
@@ -19,6 +20,47 @@ def run_cli(capsys, *argv):
 
 def jsonl(out):
     return [json.loads(line) for line in out.strip().splitlines()]
+
+
+# -- flags ---------------------------------------------------------------------
+
+SHARED = {"--group", "--caps", "--format"}
+FLAGS = {
+    "orbit": SHARED | {"--tuple", "--members"},
+    "classes": SHARED | {"--gamma", "--nielsen", "--ev", "--generating", "--method"},
+    "stability": SHARED | {"--gamma", "--window", "--confirm", "--nielsen"},
+    "h2": SHARED | {"--gamma", "--window", "--confirm", "--structure"},
+    "stable-eq": SHARED | {"--gamma", "--window", "--confirm", "--left", "--right",
+                           "--stabilizer"},
+}
+
+
+def test_each_subcommand_has_only_the_flags_it_reads():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+           for name, sub in commands.choices.items()}
+    assert got == FLAGS
+    required_gamma = {name for name, sub in commands.choices.items()
+                      for a in sub._actions if "--gamma" in a.option_strings and a.required}
+    assert required_gamma == {"classes", "stability", "h2"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--tuple", "1,1", "--window", "3"],
+    ["orbit", "--tuple", "1,1", "--gamma", "(12)"],
+    ["classes", "--gamma", "(12)", "--nielsen", "c1:2", "--confirm", "1"],
+    ["classes", "--nielsen", "c1:2"],
+    ["stability"],
+    ["h2", "--structure"],
+])
+def test_unread_flag_or_missing_gamma_is_rejected_by_the_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--group", "sym:3", "--format", "jsonl"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
 
 
 # -- orbit ---------------------------------------------------------------------

@@ -198,7 +198,8 @@ def test_dropped_group_frees_its_lattice():
 
 def test_lattice_node_cap():
     G = build_builtin("sym:3")
-    L = OrbitLattice(G, max_nodes=10)
+    L = OrbitLattice(G)
+    L.limit_new_nodes(10)
     with pytest.raises(CapExceeded):
         L.classes_at((0, 4, 4))
 
@@ -209,7 +210,8 @@ def test_cap_error_from_a_deep_build_carries_no_chain():
     G = build_builtin("sym:3")
     rng = random.Random(5)
     v = tuple(rng.randrange(1, 6) for _ in range(40))
-    L = OrbitLattice(G, max_nodes=300)
+    L = OrbitLattice(G)
+    L.limit_new_nodes(300)
     with pytest.raises(CapExceeded) as exc:
         L.class_of(v)
     assert exc.value.__context__ is None
@@ -255,7 +257,8 @@ def test_shift_memo_stores_completed_folds_only():
     G = build_builtin("sym:3")
     u = u_gamma(G, make_gamma(G, "all-nontrivial"))
     word, nu = u.vector * 3, tuple(3 * x for x in u.nu)
-    L = OrbitLattice(G, max_nodes=10)
+    L = OrbitLattice(G)
+    L.limit_new_nodes(10)
     with pytest.raises(CapExceeded):
         L.shift(0, word)
     with pytest.raises(CapExceeded):

@@ -25,7 +25,7 @@ def test_family_validation():
     with pytest.raises(ValueError):
         marked_family(-1)
     fam = marked_family(2)
-    assert fam.prefix_len == 2 and fam.skip == 2
+    assert fam.prefix_len == 2
 
 
 def test_parse_family(s3):
@@ -131,7 +131,7 @@ def test_extra_moves_validation_and_closure(s3):
     def rot(t):
         return (t[1], t[0]) + t[2:]
 
-    fam = ActionFamily(prefix_len=2, skip=2, extra_moves=((rot, rot),))
+    fam = ActionFamily(prefix_len=2, extra_moves=((rot, rot),))
     validate_extra_moves(s3, fam, length=2)
     mv = MarkedVector((1, 2), (3, 4))
     mc = marked_orbit(s3, fam, mv)
@@ -145,7 +145,7 @@ def test_extra_moves_validation_and_closure(s3):
     def bad_inv(t):
         return ((t[0] + 1) % 6,) + t[1:]
 
-    fam_bad = ActionFamily(prefix_len=1, skip=1, extra_moves=((bad, bad_inv),))
+    fam_bad = ActionFamily(prefix_len=1, extra_moves=((bad, bad_inv),))
     with pytest.raises(ValueError, match="inverse"):
         validate_extra_moves(s3, fam_bad, length=2)
 
@@ -156,7 +156,7 @@ def test_extra_moves_generic_enumeration_matches_quotient(s3, s3_transpositions)
     def rot(t):
         return (t[1], t[0]) + t[2:]
 
-    fam = ActionFamily(prefix_len=2, skip=2, extra_moves=((rot, rot),))
+    fam = ActionFamily(prefix_len=2, extra_moves=((rot, rot),))
     spec = FiberSpec(nu=(0, 1, 0), gamma=s3_transpositions)
     classes = enumerate_marked_classes(s3, fam, spec)
     # prefixes up to swap: 6 unordered pairs with repeats = 21; tails: 3 letters
@@ -171,7 +171,7 @@ def test_extra_moves_orbit_matches_two_sided_closure(s3):
     def rot(t):
         return (t[1], t[0]) + t[2:]
 
-    fam = ActionFamily(prefix_len=2, skip=2, extra_moves=((rot, rot),))
+    fam = ActionFamily(prefix_len=2, extra_moves=((rot, rot),))
     for prefix in ((1, 2), (3, 3), (4, 0)):
         for d in (2, 3):
             for tail in itertools.product(range(6), repeat=d):
