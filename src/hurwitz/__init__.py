@@ -57,8 +57,6 @@ from .marked import (
     marked_nielsen,
     marked_orbit,
     monoid_act,
-    parse_family,
-    parse_marked,
     validate_extra_moves,
 )
 from .stability import (
@@ -67,13 +65,11 @@ from .stability import (
     StabilityReport,
     StableEqResult,
     Stabilizer,
-    StabilizeMap,
     adj_word_equal,
     factor_witness,
     find_stability_bound,
     fraction_group_check,
     make_stabilizer,
-    stabilize_map,
     stable_equivalent,
     u_gamma,
 )

@@ -83,14 +83,12 @@ def evaluate(G: FiniteGroup, v: tuple[int, ...]) -> int:
     return acc
 
 
-def nielsen(G: FiniteGroup, v: tuple[int, ...], skip: int = 0) -> tuple[int, ...]:
-    """Class-count vector of the entries past the first ``skip`` positions."""
-    if skip > len(v):
-        raise ValueError(f"skip {skip} exceeds length {len(v)}")
+def nielsen(G: FiniteGroup, v: tuple[int, ...]) -> tuple[int, ...]:
+    """Class-count vector: how many entries lie in each conjugacy class."""
     ct = G.classes
     class_of = ct.class_of
     counts = [0] * ct.count
-    for x in v[skip:]:
+    for x in v:
         counts[class_of[x]] += 1
     return tuple(counts)
 
@@ -227,15 +225,13 @@ class FiberSpec:
 
     ``nu`` is indexed by conjugacy-class id and must be supported on classes
     contained in ``gamma``.  ``ev`` pins the evaluation; ``generated``
-    constrains the generated subgroup, either exactly or from below
-    (``generated_mode`` is "exact" or "superset").
+    pins the generated subgroup exactly.
     """
 
     nu: tuple[int, ...]
     gamma: GammaSet
     ev: int | None = None
     generated: SubgroupMask | None = None
-    generated_mode: str = "exact"
 
     def validate(self, G: FiniteGroup) -> None:
         ct = G.classes
@@ -248,8 +244,6 @@ class FiberSpec:
                 raise ValueError(f"nu places {count} entries on class {cid} outside gamma")
         if self.ev is not None and not (0 <= self.ev < G.order):
             raise ValueError(f"evaluation {self.ev} out of range")
-        if self.generated_mode not in ("exact", "superset"):
-            raise ValueError(f"bad generated_mode {self.generated_mode!r}")
 
     @property
     def length(self) -> int:
@@ -262,16 +256,13 @@ class FiberSpec:
         if self.ev is not None:
             parts.append(f"ev={self.ev}")
         if self.generated is not None:
-            parts.append(f"gen[{self.generated_mode}]={self.generated.bits:x}")
+            # generated is always matched exactly; the tag is part of the printed key
+            parts.append(f"gen[exact]={self.generated.bits:x}")
         return ";".join(parts)
 
 
 def _matches_generated(spec: FiberSpec, sub_bits: int) -> bool:
-    if spec.generated is None:
-        return True
-    if spec.generated_mode == "exact":
-        return sub_bits == spec.generated.bits
-    return spec.generated.bits & ~sub_bits == 0
+    return spec.generated is None or sub_bits == spec.generated.bits
 
 
 def fiber_size(G: FiniteGroup, spec: FiberSpec) -> int:
@@ -459,7 +450,7 @@ def parse_tuple(G: FiniteGroup, text: str) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def format_tuple(G: FiniteGroup, v: tuple[int, ...], names: bool = True) -> str:
-    if names and G.names is not None:
+def format_tuple(G: FiniteGroup, v: tuple[int, ...]) -> str:
+    if G.names is not None:
         return "[" + ",".join(G.names[x] for x in v) + "]"
     return ",".join(str(x) for x in v)

@@ -65,6 +65,7 @@ def _parse_nielsen(G: FiniteGroup, text: str) -> tuple[int, ...]:
     if not raw:
         return tuple(counts)
     if ":" in raw:
+        seen: set[int] = set()
         for tok, pos in _split_top_level(text):
             if not tok:
                 continue
@@ -78,6 +79,9 @@ def _parse_nielsen(G: FiniteGroup, text: str) -> tuple[int, ...]:
                 raise ParseError(f"bad nielsen entry {tok!r}", pos) from None
             if not 0 <= cid < k:
                 raise ParseError(f"class id {cid} out of range [0, {k})", pos)
+            if cid in seen:
+                raise ParseError(f"class c{cid} given twice", pos)
+            seen.add(cid)
             counts[cid] = cnt
         return tuple(counts)
     parts = _split_top_level(text)
@@ -107,6 +111,10 @@ def _parse_caps(text: str | None) -> Caps:
             raise ParseError(f"bad caps entry {tok!r}; expected name=integer", pos) from None
         if name not in known:
             raise ParseError(f"unknown cap {name!r}; expected orbit/fiber/nodes", pos)
+        if val < 0:
+            raise ParseError(f"cap {name} must be non-negative, got {val}", pos)
+        if known[name] in kwargs:
+            raise ParseError(f"cap {name} given twice", pos)
         kwargs[known[name]] = val
     return Caps(**{**DEFAULT_CAPS.__dict__, **kwargs})
 
@@ -238,6 +246,8 @@ def _cmd_stable_eq(args, caps: Caps) -> int:
         if args.gamma is None:
             raise ParseError("--gamma is required for the ugamma stabilizer")
         stab = u_gamma(G, _parse_gamma(G, args.gamma))
+    elif args.gamma is not None:
+        raise ParseError("--gamma is read only by the ugamma stabilizer")
     else:
         stab = make_stabilizer(G, parse_tuple(G, args.stabilizer))
     result = stable_equivalent(G, v, w, stab, args.window, args.confirm, caps)
@@ -317,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("--left", required=True, help="first tuple")
     p_eq.add_argument("--right", required=True, help="second tuple")
     p_eq.add_argument("--stabilizer", default="ugamma",
-                      help='"ugamma" (needs --gamma) or an explicit tuple')
+                      help='"ugamma" (needs --gamma) or an explicit tuple (takes no --gamma)')
     p_eq.set_defaults(func=_cmd_stable_eq)
     return parser
 

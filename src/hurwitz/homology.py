@@ -97,18 +97,17 @@ def _stable_context(G: FiniteGroup, gamma: GammaSet, window: int, confirm: int, 
 
 
 def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
-             confirm: int = DEFAULT_CONFIRM, cross_levels: int = 1,
-             caps: Caps = DEFAULT_CAPS) -> H2Report:
+             confirm: int = DEFAULT_CONFIRM, caps: Caps = DEFAULT_CAPS) -> H2Report:
     """Order of the invariant via stable counting.
 
     Counts classes generating the whole group at a stable Nielsen level;
     the count must split exactly as order x |[G,G]|, and is re-counted at
-    ``cross_levels`` further stable levels and per evaluation slice.
+    the next stable level and per evaluation slice.
     """
-    return _order_report(G, _stable_context(G, gamma, window, confirm, caps), cross_levels)
+    return _order_report(G, _stable_context(G, gamma, window, confirm, caps))
 
 
-def _order_report(G: FiniteGroup, context, cross_levels: int) -> H2Report:
+def _order_report(G: FiniteGroup, context) -> H2Report:
     report, L, level, shift, nodes = context
     full = (1 << G.order) - 1
     comm = commutator_subgroup(G).size
@@ -118,14 +117,11 @@ def _order_report(G: FiniteGroup, context, cross_levels: int) -> H2Report:
             f"stable generating count {count} is not a positive multiple of "
             f"|[G,G]| = {comm}; level {level} may be sub-stable")
     order = count // comm
-    checks = []
-    for j in range(1, cross_levels + 1):
-        nu_j = tuple(a + j * b for a, b in zip(level, report.step))
-        cj = sum(1 for x in L.classes_at(nu_j) if L.sub_bits(x) == full)
-        if cj != count:
-            raise HomologyError(
-                f"count {cj} at cross-check level {nu_j} differs from {count}")
-        checks.append((nu_j, cj))
+    next_level = tuple(a + b for a, b in zip(level, report.step))
+    next_count = sum(1 for x in L.classes_at(next_level) if L.sub_bits(x) == full)
+    if next_count != count:
+        raise HomologyError(
+            f"count {next_count} at cross-check level {next_level} differs from {count}")
     by_ev = Counter(L.ev(x) for x in nodes)
     if len(by_ev) != comm or any(c != order for c in by_ev.values()):
         raise HomologyError(
@@ -134,7 +130,7 @@ def _order_report(G: FiniteGroup, context, cross_levels: int) -> H2Report:
         order=order,
         structure=None,
         stable_level=level,
-        cross_checks=tuple(checks),
+        cross_checks=((next_level, next_count),),
         commutator_order=comm,
         slice_counts=tuple(sorted(by_ev.items())),
         base_point=L.canonical(L.shift(0, shift)),
@@ -221,7 +217,7 @@ def h2_structure(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
                  confirm: int = DEFAULT_CONFIRM, caps: Caps = DEFAULT_CAPS) -> H2Report:
     """Full invariant-factor decomposition via the torsor composition law."""
     context = _stable_context(G, gamma, window, confirm, caps)
-    report = _order_report(G, context, 1)
+    report = _order_report(G, context)
     ctx = _torsor(context)
     m = len(ctx.elements)
     if m != report.order:

@@ -31,9 +31,8 @@ from .braid import (
     enumerate_classes,
     iter_fiber_tuples,
     nielsen,
-    parse_tuple,
 )
-from .errors import CapExceeded, ParseError
+from .errors import CapExceeded
 from .groups import FiniteGroup
 from .lattice import get_lattice
 
@@ -73,35 +72,9 @@ def marked_family(k: int) -> ActionFamily:
     return ActionFamily(prefix_len=k)
 
 
-def parse_family(spec: str) -> ActionFamily:
-    spec = spec.strip()
-    if spec == "plain":
-        return marked_family(0)
-    if spec.startswith("marked:"):
-        try:
-            return marked_family(int(spec.split(":", 1)[1]))
-        except ValueError:
-            raise ParseError(f"bad marked family spec {spec!r}") from None
-    raise ParseError(f"unknown family spec {spec!r}")
-
-
-def parse_marked(G: FiniteGroup, family: ActionFamily, text: str) -> MarkedVector:
-    """Parse "prefix | tail" with tuple syntax on both sides."""
-    if "|" in text:
-        left, _, right = text.partition("|")
-    else:
-        left, right = "", text
-    mv = MarkedVector(parse_tuple(G, left), parse_tuple(G, right))
-    if len(mv.prefix) != family.prefix_len:
-        raise ParseError(
-            f"prefix has {len(mv.prefix)} entries, family expects {family.prefix_len}"
-        )
-    return mv
-
-
-def marked_nielsen(G: FiniteGroup, family: ActionFamily, mv: MarkedVector) -> tuple[int, ...]:
+def marked_nielsen(G: FiniteGroup, mv: MarkedVector) -> tuple[int, ...]:
     """Class counts of the tail entries."""
-    return nielsen(G, mv.full(), skip=family.prefix_len)
+    return nielsen(G, mv.tail)
 
 
 # Random tuples each extra move is checked on, drawn from a fixed seed.
@@ -121,7 +94,7 @@ def validate_extra_moves(G: FiniteGroup, family: ActionFamily, length: int) -> N
                 raise ValueError("extra move changed the tuple length")
             if inv(u) != t:
                 raise ValueError("extra move failed the inverse check on a sample")
-            if nielsen(G, u, skip) != nielsen(G, t, skip):
+            if nielsen(G, u[skip:]) != nielsen(G, t[skip:]):
                 raise ValueError("extra move changed the tail's Nielsen type")
 
 
@@ -152,13 +125,13 @@ def marked_orbit(G: FiniteGroup, family: ActionFamily, mv: MarkedVector,
         L = get_lattice(G, caps)
         node = L.class_of(mv.tail)
         canon = MarkedVector(mv.prefix, L.canonical(node))
-        return MarkedClass(canon, L.size(node), marked_nielsen(G, family, canon))
+        return MarkedClass(canon, L.size(node), marked_nielsen(G, canon))
     _accept_extra_moves(G, family, len(mv.tail))
     members = _closure(G, mv.full(), caps.orbit_states, family.prefix_len, _extra(family))
     best = min(members)
     r = family.prefix_len
     canon = MarkedVector(best[:r], best[r:])
-    return MarkedClass(canon, len(members), marked_nielsen(G, family, canon))
+    return MarkedClass(canon, len(members), marked_nielsen(G, canon))
 
 
 def monoid_act(G: FiniteGroup, family: ActionFamily, x: MarkedClass | MarkedVector,
@@ -191,7 +164,7 @@ def enumerate_marked_classes(G: FiniteGroup, family: ActionFamily, tail_spec: Fi
         for prefix in prefix_list:
             for t in tails:
                 mvec = MarkedVector(prefix, t.canonical)
-                out.append(MarkedClass(mvec, t.size, marked_nielsen(G, family, mvec)))
+                out.append(MarkedClass(mvec, t.size, marked_nielsen(G, mvec)))
         return out
     _accept_extra_moves(G, family, tail_spec.length)
     extra = _extra(family)
@@ -211,7 +184,7 @@ def enumerate_marked_classes(G: FiniteGroup, family: ActionFamily, tail_spec: Fi
             best = min(members)
             r = family.prefix_len
             mvec = MarkedVector(best[:r], best[r:])
-            out.append(MarkedClass(mvec, len(members), marked_nielsen(G, family, mvec)))
+            out.append(MarkedClass(mvec, len(members), marked_nielsen(G, mvec)))
     out.sort(key=lambda c: c.canonical.full())
     return out
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import Caps, DEFAULT_CAPS, OrbitClass, evaluate, nielsen
+from .braid import Caps, DEFAULT_CAPS, evaluate, nielsen
 from .groups import FiniteGroup, GammaSet, subgroup_closure
 from .lattice import get_lattice
 
@@ -45,13 +45,11 @@ class Stabilizer:
     vector: tuple[int, ...]
     nu: tuple[int, ...]
     ev: int
-    ell: int  # order of ev in the group
     sub: int  # bits of the subgroup the vector generates
 
 
 def make_stabilizer(G: FiniteGroup, vector: tuple[int, ...]) -> Stabilizer:
-    ev = evaluate(G, vector)
-    return Stabilizer(tuple(vector), nielsen(G, vector), ev, G.element_order(ev),
+    return Stabilizer(tuple(vector), nielsen(G, vector), evaluate(G, vector),
                       subgroup_closure(G, vector).bits)
 
 
@@ -64,55 +62,8 @@ def u_gamma(G: FiniteGroup, gamma: GammaSet) -> Stabilizer:
     for g in gamma.elements():
         word.extend([g] * orders[g])
     st = make_stabilizer(G, tuple(word))
-    assert st.ev == 0 and st.ell == 1
+    assert st.ev == 0
     return st
-
-
-# -- stabilisation maps --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StabilizeMap:
-    """Image data of one append map between two class lists."""
-
-    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (domain canon, image canon)
-    injective: bool
-    surjective: bool
-    codomain_size: int
-
-
-def stabilize_map(G: FiniteGroup, domain: list[OrbitClass], u: Stabilizer,
-                  codomain: list[OrbitClass] | None = None,
-                  caps: Caps = DEFAULT_CAPS) -> StabilizeMap:
-    """Apply [v] -> [v + u] to every domain class.
-
-    All domain classes must share one Nielsen type.  If ``codomain`` is not
-    given, surjectivity is judged against the classes at the shifted level
-    whose generated subgroup contains the one generated by ``u``.
-    """
-    if domain:
-        nus = {c.nu for c in domain}
-        if len(nus) > 1:
-            raise ValueError("domain classes must share one Nielsen type")
-    L = get_lattice(G, caps)
-    pairs = []
-    image_nodes = []
-    for c in domain:
-        node = L.shift(L.class_of(c.canonical), u.vector)
-        image_nodes.append(node)
-        pairs.append((c.canonical, L.canonical(node)))
-    if codomain is None:
-        if domain:
-            target_nu = tuple(a + b for a, b in zip(domain[0].nu, u.nu))
-            cod_nodes = [n for n in L.classes_at(target_nu)
-                         if u.sub & ~L.sub_bits(n) == 0]
-        else:
-            cod_nodes = []
-    else:
-        cod_nodes = [L.class_of(c.canonical) for c in codomain]
-    injective = len(set(image_nodes)) == len(image_nodes)
-    surjective = set(image_nodes) == set(cod_nodes)
-    return StabilizeMap(tuple(pairs), injective, surjective, len(cod_nodes))
 
 
 # -- stability bound search -----------------------------------------------------
@@ -164,7 +115,7 @@ class StabilityReport:
         }
 
 
-def _add_nu(a: tuple[int, ...], b: tuple[int, ...], times: int = 1) -> tuple[int, ...]:
+def _add_nu(a: tuple[int, ...], b: tuple[int, ...], times: int) -> tuple[int, ...]:
     return tuple(x + times * y for x, y in zip(a, b))
 
 
@@ -183,6 +134,8 @@ def find_stability_bound(G: FiniteGroup, gamma: GammaSet,
     """
     if confirm < 0:
         raise ValueError(f"confirm must be non-negative, got {confirm}")
+    if window < 0:
+        raise ValueError(f"window must be non-negative, got {window}")
     u = u_gamma(G, gamma)
     full = (1 << G.order) - 1
     if u.sub != full:

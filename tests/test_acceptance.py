@@ -224,8 +224,7 @@ def test_criterion_07_torsor_counting(s3, s3_transpositions, s3_all, announce):
     results = {}
 
     def check(G, gam, label, window, expect_order=None, caps=None):
-        rep = h2_order(G, gam, window=window, cross_levels=1,
-                       caps=caps if caps is not None else Caps())
+        rep = h2_order(G, gam, window=window, caps=caps if caps is not None else Caps())
         # divisibility is enforced inside h2_order; cross-check equality too
         assert all(c == rep.order * rep.commutator_order for _, c in rep.cross_checks)
         if expect_order is not None:
@@ -250,8 +249,7 @@ def test_criterion_07_torsor_counting(s3, s3_transpositions, s3_all, announce):
     # classical transitivity on transposition tuples, reproduced by brute
     # force: direct enumeration at the stable level gives one generating
     # class per evaluation
-    stable = FiberSpec(nu=(0, 6, 0), gamma=s3_transpositions,
-                       generated=s3.full_mask(), generated_mode="exact")
+    stable = FiberSpec(nu=(0, 6, 0), gamma=s3_transpositions, generated=s3.full_mask())
     direct = enumerate_classes(s3, stable, method="direct")
     assert len(direct) == 3
     assert len({c.ev for c in direct}) == 3

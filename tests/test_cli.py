@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from hurwitz import build_builtin, make_gamma
-from hurwitz.cli import _parse_gamma, build_parser, main
+from hurwitz.braid import Caps
+from hurwitz.cli import _parse_caps, _parse_gamma, build_parser, main
 from hurwitz.stability import DEFAULT_EQ_WINDOW
 from conftest import MALFORMED_TABLES, cli_env
 
@@ -115,6 +116,10 @@ def test_malformed_caps_exit_2(capsys, caps):
     (["classes", "--nielsen", "c1:2, c7:1"], 6),
     (["classes", "--nielsen", "0,x,2"], 2),
     (["classes", "--nielsen", " 0, 1 ,y"], 7),
+    (["classes", "--nielsen", "c1:2,c1:3"], 5),
+    (["stable-eq", "--left", "1", "--right", "1", "--caps", "nodes=5,nodes=0"], 8),
+    (["stable-eq", "--left", "1", "--right", "1", "--caps", "nodes=-1"], 0),
+    (["stable-eq", "--left", "1", "--right", "1", "--caps", "fiber=9, orbit=-5"], 9),
 ])
 def test_entry_parse_errors_give_the_entry_offset(capsys, argv, position):
     code, out, err = run_cli(capsys, *argv, "--group", "sym:3", "--gamma", "(12)",
@@ -122,6 +127,10 @@ def test_entry_parse_errors_give_the_entry_offset(capsys, argv, position):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and f"(at position {position})" in err
+
+
+def test_zero_cap_is_valid():
+    assert _parse_caps("nodes=0, orbit=0") == Caps(orbit_states=0, lattice_nodes=0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -138,12 +147,13 @@ def test_negative_confirm_exits_2(capsys, argv):
 
 
 def test_negative_window_exits_2(capsys):
-    code, out, err = run_cli(capsys, "stable-eq", "--group", "sym:3", "--gamma", "(12)",
-                             "--left", "[(12),(12)]", "--right", "[(13),(13)]",
-                             "--window", "-2", "--format", "jsonl")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "window" in err
+    for argv in (["stability"], ["h2"],
+                 ["stable-eq", "--left", "[(12),(12)]", "--right", "[(13),(13)]"]):
+        code, out, err = run_cli(capsys, *argv, "--group", "sym:3", "--gamma", "(12)",
+                                 "--window", "-2", "--format", "jsonl")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "window" in err
 
 
 @pytest.mark.parametrize("doc", MALFORMED_TABLES)
@@ -320,6 +330,16 @@ def test_stable_eq_explicit_stabilizer(capsys):
                            "--stabilizer", "[(12),(12),(13),(13),(23),(23)]",
                            "--format", "jsonl")
     assert code == 0
+
+
+def test_explicit_stabilizer_rejects_unread_gamma(capsys):
+    code, out, err = run_cli(capsys, "stable-eq", "--group", "sym:3", "--gamma", "(13)",
+                             "--left", "[(12),(12)]", "--right", "[(13),(13)]",
+                             "--stabilizer", "[(12),(12),(13),(13),(23),(23)]",
+                             "--format", "jsonl")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--gamma" in err
 
 
 # -- formats -------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from hurwitz import (
     FiberSpec,
     MarkedVector,
-    ParseError,
     enumerate_classes,
     enumerate_marked_classes,
     marked_family,
@@ -14,8 +13,6 @@ from hurwitz import (
     monoid_act,
     orbit,
     orbit_members,
-    parse_family,
-    parse_marked,
     validate_extra_moves,
 )
 from conftest import el, two_sided_orbit
@@ -26,24 +23,6 @@ def test_family_validation():
         marked_family(-1)
     fam = marked_family(2)
     assert fam.prefix_len == 2
-
-
-def test_parse_family(s3):
-    assert parse_family("plain").prefix_len == 0
-    assert parse_family("marked:3").prefix_len == 3
-    with pytest.raises(ParseError):
-        parse_family("marked:x")
-    with pytest.raises(ParseError):
-        parse_family("genus:1")
-
-
-def test_parse_marked(s3):
-    fam = marked_family(1)
-    mv = parse_marked(s3, fam, "[(12)] | [(13),(23)]")
-    assert mv.prefix == (el(s3, "(12)"),)
-    assert mv.tail == (el(s3, "(13)"), el(s3, "(23)"))
-    with pytest.raises(ParseError):
-        parse_marked(s3, fam, "[(12),(13)] | [e]")
 
 
 def test_prefix_zero_reduces_to_plain(s3):
@@ -66,9 +45,8 @@ def test_marked_equivalence_splits_by_prefix(s3):
 
 
 def test_marked_nielsen_ignores_prefix(s3):
-    fam = marked_family(2)
     mv = MarkedVector((el(s3, "(12)"), el(s3, "(13)")), (el(s3, "(123)"),))
-    assert marked_nielsen(s3, fam, mv) == (0, 0, 1)
+    assert marked_nielsen(s3, mv) == (0, 0, 1)
 
 
 def test_monoid_act_unit(s3):

@@ -19,7 +19,6 @@ from hurwitz import (
     orbit_members,
     sigma,
     stable_equivalent,
-    stabilize_map,
     subgroup_closure,
     u_gamma,
 )
@@ -33,7 +32,7 @@ from conftest import el
 def test_u_gamma_transpositions(s3, s3_transpositions):
     u = u_gamma(s3, s3_transpositions)
     assert len(u.vector) == 6
-    assert u.ev == 0 and u.ell == 1
+    assert u.ev == 0
     assert u.nu == (0, 6, 0)
     # ascending element order, each transposition twice
     assert u.vector == tuple(sorted(u.vector))
@@ -99,25 +98,6 @@ def test_warm_queries_compute_no_subgroup_closure(monkeypatch, s3_all):
 # -- stabilisation maps -----------------------------------------------------------
 
 
-def test_stabilize_map_empty_stabiliser_is_identity(s3, s3_transpositions):
-    spec = FiberSpec(nu=(0, 2, 0), gamma=s3_transpositions)
-    classes = enumerate_classes(s3, spec)
-    res = stabilize_map(s3, classes, make_stabilizer(s3, ()), codomain=classes)
-    assert all(src == dst for src, dst in res.pairs)
-    assert res.injective and res.surjective
-
-
-def test_stabilize_map_spec_example(s3, s3_transpositions):
-    t = el(s3, "(12)")
-    spec = FiberSpec(nu=(0, 2, 0), gamma=s3_transpositions)
-    domain = enumerate_classes(s3, spec)
-    res = stabilize_map(s3, domain, make_stabilizer(s3, (t,)))
-    assert len(res.pairs) == len(domain)
-    for src, dst in res.pairs:
-        assert nielsen(s3, dst) == (0, 3, 0)
-        assert braid_equivalent(s3, src + (t,), dst)
-
-
 def test_stabilize_map_well_defined_on_classes(s3, s3_transpositions):
     u = u_gamma(s3, s3_transpositions)
     spec = FiberSpec(nu=(0, 2, 0), gamma=s3_transpositions)
@@ -127,13 +107,6 @@ def test_stabilize_map_well_defined_on_classes(s3, s3_transpositions):
     for cls in enumerate_classes(s3, spec):
         targets = {L.append_word(L.class_of(m), u.vector) for m in orbit_members(s3, cls.canonical)}
         assert len(targets) == 1
-
-
-def test_stabilize_map_rejects_mixed_levels(s3, s3_transpositions):
-    a = enumerate_classes(s3, FiberSpec(nu=(0, 2, 0), gamma=s3_transpositions))
-    b = enumerate_classes(s3, FiberSpec(nu=(0, 3, 0), gamma=s3_transpositions))
-    with pytest.raises(ValueError):
-        stabilize_map(s3, a + b, make_stabilizer(s3, ()))
 
 
 # -- bound search -----------------------------------------------------------------
@@ -188,6 +161,8 @@ def test_negative_window_rejected(s3, s3_transpositions):
     t12, t13 = el(s3, "(12)"), el(s3, "(13)")
     with pytest.raises(ValueError, match="window"):
         stable_equivalent(s3, (t12, t12), (t13, t13), u, window=-2)
+    with pytest.raises(ValueError, match="window"):
+        find_stability_bound(s3, s3_transpositions, window=-1)
     # window 0 still looks at the pair as given
     assert stable_equivalent(s3, (t12,), (t12,), u, window=0).equivalent is True
 
@@ -353,6 +328,13 @@ def test_memoised_shifts_match_fresh_folds():
         find_stability_bound(H, gamma, None, window, 2)
     v, w = distinct_generating_classes(G, (0, 3, 3, 0))
     assert stable_equivalent(G, v, w, u_gamma(G, gam), window=3).equivalent is False
+    # appending (12) to each (0,2,0) class lands at (0,3,0), in the class of v + (t,)
+    L = get_lattice(s3)
+    t = el(s3, "(12)")
+    for x in L.classes_at((0, 2, 0)):
+        image = L.shift(x, (t,))
+        assert nielsen(s3, L.canonical(image)) == (0, 3, 0)
+        assert braid_equivalent(s3, L.canonical(x) + (t,), L.canonical(image))
     for H in (G, s3):
         L, fresh = get_lattice(H), OrbitLattice(H)
         full = (1 << H.order) - 1
