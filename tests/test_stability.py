@@ -98,6 +98,23 @@ def test_warm_queries_compute_no_subgroup_closure(monkeypatch, s3_all):
 # -- stabilisation maps -----------------------------------------------------------
 
 
+def test_stabilize_map_spec_example(s3, s3_transpositions):
+    # appending (12) to each (0,2,0) class lands at (0,3,0), in the class of v + (t,)
+    t = el(s3, "(12)")
+    st = make_stabilizer(s3, (t,))
+    domain = enumerate_classes(s3, FiberSpec(nu=(0, 2, 0), gamma=s3_transpositions))
+    L = get_lattice(s3)
+    images = [L.shift(L.class_of(cls.canonical), st.vector) for cls in domain]
+    assert len(images) == len(domain)
+    for cls, image in zip(domain, images):
+        assert nielsen(s3, L.canonical(image)) == (0, 3, 0)
+        assert braid_equivalent(s3, cls.canonical + (t,), L.canonical(image))
+    # the level map agrees on the classes whose subgroup contains (12)
+    level_domain, level_images = L.shift_level((0, 2, 0), st.vector, st.sub)
+    assert level_domain
+    assert all(L.shift(x, st.vector) == y for x, y in zip(level_domain, level_images))
+
+
 def test_stabilize_map_well_defined_on_classes(s3, s3_transpositions):
     u = u_gamma(s3, s3_transpositions)
     spec = FiberSpec(nu=(0, 2, 0), gamma=s3_transpositions)
@@ -328,13 +345,6 @@ def test_memoised_shifts_match_fresh_folds():
         find_stability_bound(H, gamma, None, window, 2)
     v, w = distinct_generating_classes(G, (0, 3, 3, 0))
     assert stable_equivalent(G, v, w, u_gamma(G, gam), window=3).equivalent is False
-    # appending (12) to each (0,2,0) class lands at (0,3,0), in the class of v + (t,)
-    L = get_lattice(s3)
-    t = el(s3, "(12)")
-    for x in L.classes_at((0, 2, 0)):
-        image = L.shift(x, (t,))
-        assert nielsen(s3, L.canonical(image)) == (0, 3, 0)
-        assert braid_equivalent(s3, L.canonical(x) + (t,), L.canonical(image))
     for H in (G, s3):
         L, fresh = get_lattice(H), OrbitLattice(H)
         full = (1 << H.order) - 1
