@@ -20,7 +20,12 @@ implementation, or through the shared class lattice (see `lattice`), which
 reaches Nielsen types whose raw fibers are astronomically large.  Every
 brute search, here and in `marked`, runs the one kernel `_closure`, which
 follows `sigma` only: a permutation of the finite set G^d has its inverse
-among its powers, so `sigma_inv` reaches no further tuple.
+among its powers, so `sigma_inv` reaches no further tuple.  The direct
+path walks each fiber with `iter_fiber_tuples`; with the evaluation
+pinned, the last entry of a tuple is forced (it is the inverse of the
+prefix's product times the evaluation), so it is computed, not searched.
+The brute paths reject a tuple entry that is no element index with
+ValueError; the lattice path does not check entries.
 """
 
 from __future__ import annotations
@@ -119,6 +124,14 @@ class OrbitClass:
         return len(self.canonical)
 
 
+def _check_entries(G: FiniteGroup, v: tuple[int, ...]) -> None:
+    """Raise ValueError unless every entry of ``v`` is an element index."""
+    n = G.order
+    if v and (min(v) < 0 or max(v) >= n):
+        i, x = next((i, x) for i, x in enumerate(v) if not 0 <= x < n)
+        raise ValueError(f"entry {x} at position {i} of {v} is not an element index in [0, {n})")
+
+
 def _closure(G: FiniteGroup, start: tuple[int, ...], cap: int, lo: int = 0,
              extra: tuple[Move, ...] = (), target: tuple[int, ...] | None = None,
              ) -> set[tuple[int, ...]]:
@@ -128,23 +141,33 @@ def _closure(G: FiniteGroup, start: tuple[int, ...], cap: int, lo: int = 0,
     prefix of ``lo`` entries stays fixed; ``sigma_inv`` is not needed, see
     the module docstring) and each function in ``extra``.  Extra moves are
     only checked by sampling, not proved to be permutations, so callers
-    pass both directions of each.  Stops as soon as ``target`` is added;
-    raises CapExceeded rather than hold more than ``cap`` tuples.
+    pass both directions of each.  Each successor is tested against the
+    visited set as soon as it is made, ``sigma`` positions first, then the
+    extra moves.  Stops as soon as ``target`` is added; raises CapExceeded
+    rather than hold more than ``cap`` tuples, and ValueError if ``start``
+    holds an entry that is no element index.
     """
+    _check_entries(G, start)
     conj = G.conj_table
-    hi = len(start) - 1
+    # sigma at position i + 1 rewrites the entries at i and j = i + 1
+    spots = [(i, i + 1, i + 2) for i in range(lo, len(start) - 1)]
     seen = {start}
     stack = [start]
     pop, push, add = stack.pop, stack.append, seen.add
     while stack:
         t = pop()
-        nxt = []
-        for i in range(lo, hi):
-            a, b = t[i], t[i + 1]
-            nxt.append(t[:i] + (b, conj[a][b]) + t[i + 2 :])
+        for i, j, k in spots:
+            b = t[j]
+            u = t[:i] + (b, conj[t[i]][b]) + t[k:]
+            if u not in seen:
+                if len(seen) >= cap:
+                    raise CapExceeded("orbit exceeds state cap", len(seen))
+                add(u)
+                if u == target:
+                    return seen
+                push(u)
         for move in extra:
-            nxt.append(move(t))
-        for u in nxt:
+            u = move(t)
             if u not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded("orbit exceeds state cap", len(seen))
@@ -190,9 +213,13 @@ def braid_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     subgroups before its search.  The lattice path decides by class id
     alone, because each class stores its subgroup; on a cold lattice a pair
     whose subgroups differ therefore builds both classes before it returns
-    False.
+    False.  The direct path raises ValueError, before any prefilter, if
+    either tuple holds an entry that is no element index.
     """
     _check_method(method)
+    if method == "direct":
+        _check_entries(G, v)
+        _check_entries(G, w)
     if len(v) != len(w):
         return False
     if v == w:
@@ -282,9 +309,13 @@ def fiber_size(G: FiniteGroup, spec: FiberSpec) -> int:
 def iter_fiber_tuples(G: FiniteGroup, spec: FiberSpec) -> Iterator[tuple[int, ...]]:
     """All tuples in the fiber, in lexicographic order.
 
-    Entries are drawn class by class per the Nielsen counts; when the
-    evaluation is pinned, prefixes whose remaining counts cannot reach the
-    target product are pruned via a reachable-products table.
+    Entries are drawn class by class per the Nielsen counts.  When the
+    evaluation is pinned, the walk carries the product the remaining
+    entries still need: a prefix is pruned when its remaining counts cannot
+    reach that product (a reachable-products table per remaining Nielsen
+    type), and the last entry is not searched but forced, since it must
+    equal the product still needed; it is kept only if its class has a
+    count left.
     """
     spec.validate(G)
     ct = G.classes
@@ -293,7 +324,8 @@ def iter_fiber_tuples(G: FiniteGroup, spec: FiberSpec) -> Iterator[tuple[int, ..
         if spec.ev is None or spec.ev == 0:
             yield ()
         return
-    mul, inv = G.mul, G.inv
+    mul, inv, class_of = G.mul, G.inv, ct.class_of
+    pinned = spec.ev is not None
 
     # reachable[nu_rem] = bitmask of products achievable by some arrangement
     reachable: dict[tuple[int, ...], int] = {}
@@ -320,31 +352,47 @@ def iter_fiber_tuples(G: FiniteGroup, spec: FiberSpec) -> Iterator[tuple[int, ..
         reachable[nu_rem] = out
         return out
 
+    # options[nu_rem] = the possible next entries g in increasing order, each
+    # with the row of g^-1 (need -> what the entries after g still need), the
+    # Nielsen type left after g and that type's reachable products (all bits
+    # set when the evaluation is free)
+    options: dict[tuple[int, ...], list[tuple[int, list[int], tuple[int, ...], int]]] = {}
+
+    def choices(nu_rem: tuple[int, ...]) -> list[tuple[int, list[int], tuple[int, ...], int]]:
+        hit = options.get(nu_rem)
+        if hit is None:
+            hit = []
+            for cid, count in enumerate(nu_rem):
+                if count:
+                    nxt = nu_rem[:cid] + (count - 1,) + nu_rem[cid + 1 :]
+                    reach = products(nxt) if pinned else -1
+                    hit.extend((g, mul[inv[g]], nxt, reach) for g in ct.members[cid])
+            hit.sort()
+            options[nu_rem] = hit
+        return hit
+
     prefix: list[int] = []
+    last = d - 1
 
-    def extend(nu_rem: tuple[int, ...], prod: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == d:
-            if spec.ev is None or prod == spec.ev:
-                yield tuple(prefix)
+    def extend(nu_rem: tuple[int, ...], need: int) -> Iterator[tuple[int, ...]]:
+        # ``need`` is the product the remaining entries must have; with the
+        # evaluation free it is carried but constrains nothing
+        if len(prefix) == last:
+            if not pinned:
+                head = tuple(prefix)
+                for g, _, _, _ in choices(nu_rem):
+                    yield head + (g,)
+            elif nu_rem[class_of[need]]:
+                yield (*prefix, need)
             return
-        choices: list[int] = []
-        for cid, count in enumerate(nu_rem):
-            if count:
-                choices.extend(ct.members[cid])
-        choices.sort()
-        for g in choices:
-            cid = ct.class_of[g]
-            nxt = nu_rem[:cid] + (nu_rem[cid] - 1,) + nu_rem[cid + 1 :]
-            nprod = mul[prod][g]
-            if spec.ev is not None:
-                need = mul[inv[nprod]][spec.ev]
-                if not (products(nxt) >> need) & 1:
-                    continue
-            prefix.append(g)
-            yield from extend(nxt, nprod)
-            prefix.pop()
+        for g, back, nxt, reach in choices(nu_rem):
+            left = back[need]
+            if (reach >> left) & 1:
+                prefix.append(g)
+                yield from extend(nxt, left)
+                prefix.pop()
 
-    yield from extend(spec.nu, 0)
+    yield from extend(spec.nu, spec.ev if pinned else 0)
 
 
 def enumerate_classes(G: FiniteGroup, spec: FiberSpec, caps: Caps = DEFAULT_CAPS,
@@ -426,7 +474,7 @@ def parse_tuple(G: FiniteGroup, text: str) -> tuple[int, ...]:
         if not raw.endswith("]"):
             raise ParseError("expected closing ']'", len(text.rstrip()) - 1)
         if G.names is None:
-            raise ParseError("group has no element names; use index syntax", 0)
+            raise ParseError("group has no element names; use index syntax", text.index("["))
         inner = raw[1:-1]
         if not inner.strip():
             return ()

@@ -12,8 +12,9 @@ import argparse
 import json
 import sys
 
-from .braid import (Caps, DEFAULT_CAPS, METHODS, FiberSpec, _split_top_level,
-                    enumerate_classes, format_tuple, orbit, orbit_members, parse_tuple)
+from .braid import (Caps, DEFAULT_CAPS, METHODS, FiberSpec, _class_from_members,
+                    _split_top_level, enumerate_classes, format_tuple, orbit_members,
+                    parse_tuple)
 from .errors import CapExceeded, HomologyError, HurwitzError, ParseError
 from .groups import FiniteGroup, GammaSet, load_group, make_gamma
 from .homology import h2_order, h2_structure
@@ -36,23 +37,25 @@ EXIT_INDETERMINATE = 3
 # -- argument parsing helpers -------------------------------------------------
 
 
-def _parse_element(G: FiniteGroup, text: str) -> int:
+def _parse_element(G: FiniteGroup, text: str, offset: int = 0) -> int:
+    """One element by name or index; ``text`` begins at ``offset`` in the flag."""
     tok = text.strip()
     if G.names is not None and tok in G.names:
         return G.names.index(tok)
+    at = offset + len(text) - len(text.lstrip())
     try:
         x = int(tok)
     except ValueError:
-        raise ParseError(f"unknown element {tok!r}") from None
+        raise ParseError(f"unknown element {tok!r}", at) from None
     if not 0 <= x < G.order:
-        raise ParseError(f"element index {x} out of range [0, {G.order})")
+        raise ParseError(f"element index {x} out of range [0, {G.order})", at)
     return x
 
 
 def _parse_gamma(G: FiniteGroup, text: str) -> GammaSet:
     if text.strip() == "all-nontrivial":
         return make_gamma(G, "all-nontrivial")
-    reps = [_parse_element(G, tok) for tok, _ in _split_top_level(text) if tok]
+    reps = [_parse_element(G, tok, at) for tok, at in _split_top_level(text) if tok]
     if not reps:
         raise ParseError("empty gamma spec")
     return make_gamma(G, reps)
@@ -168,11 +171,10 @@ def _class_record(G: FiniteGroup, cls) -> dict:
 def _cmd_orbit(args, caps: Caps) -> int:
     G = load_group(args.group)
     v = parse_tuple(G, args.tuple)
-    cls = orbit(G, v, caps.orbit_states)
-    records = [_class_record(G, cls)]
+    members = orbit_members(G, v, caps.orbit_states)
+    records = [_class_record(G, _class_from_members(G, members))]
     if args.members:
-        for member in sorted(orbit_members(G, v, caps.orbit_states)):
-            records.append({"member": list(member)})
+        records += [{"member": list(member)} for member in sorted(members)]
     _emit(records, args.format, sys.stdout)
     return EXIT_OK
 

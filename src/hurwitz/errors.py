@@ -12,10 +12,15 @@ class GroupTableError(HurwitzError, ValueError):
 
 
 class ParseError(HurwitzError, ValueError):
-    """Malformed textual input; ``position`` is the character offset."""
+    """Malformed textual input.
 
-    def __init__(self, message: str, position: int = 0):
-        super().__init__(f"{message} (at position {position})")
+    ``position`` is the character offset of the offending token, or None
+    when the error points at no one place in the text (a missing flag, a
+    wrong number of entries); only a located error names its position.
+    """
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
 
 

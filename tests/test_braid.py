@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -177,9 +178,31 @@ def test_orbit_members_match_two_sided_closure(s3, s4):
 
 
 def test_orbit_cap(s3):
+    v = (1, 2, 3, 5, 2, 1)
     with pytest.raises(CapExceeded) as exc:
-        orbit_members(s3, (1, 2, 3, 5, 2, 1), max_states=5)
-    assert exc.value.visited >= 5
+        orbit_members(s3, v, max_states=5)
+    assert exc.value.visited == 5
+    size = len(orbit_members(s3, v))
+    assert len(orbit_members(s3, v, max_states=size)) == size
+    with pytest.raises(CapExceeded) as exc:
+        orbit_members(s3, v, max_states=size - 1)
+    assert exc.value.visited == size - 1
+
+
+@pytest.mark.parametrize("bad", [(1, -1), (1, 7)])
+def test_brute_paths_reject_entries_outside_the_group(s3, bad):
+    # (1, -1) once read entry 5 by negative indexing, and (1, 7) an IndexError
+    message = f"entry {bad[1]} at position 1"
+    with pytest.raises(ValueError, match=message):
+        orbit(s3, bad)
+    with pytest.raises(ValueError, match=message):
+        orbit_members(s3, bad)
+    with pytest.raises(ValueError, match=message):
+        braid_equivalent(s3, bad, (1, 5), method="direct")
+    with pytest.raises(ValueError, match=message):
+        braid_equivalent(s3, (1, 5), bad, method="direct")
+    with pytest.raises(ValueError, match=message):
+        braid_equivalent(s3, bad, bad, method="direct")
 
 
 # -- equivalence ---------------------------------------------------------------
@@ -274,6 +297,28 @@ def test_fiber_spec_validation(s3, s3_transpositions):
         FiberSpec(nu=(0, 2), gamma=s3_transpositions).validate(s3)
 
 
+# (group, gamma) pairs for the brute fiber oracle; each gamma keeps
+# |gamma|^5 tuples small enough to list by itertools.product
+FIBER_CASES = [
+    ("sym:4", ("(12)", "(12)(34)")),
+    ("alt:4", ("(123)", "(132)")),
+    ("dihedral:4", "all-nontrivial"),
+    ("quaternion:8", "all-nontrivial"),
+]
+
+
+@functools.cache
+def product_fibers(group, reps, d):
+    """The group, gamma, and every length-``d`` tuple over gamma in
+    lexicographic order, grouped by Nielsen type (the sorted product)."""
+    G = build_builtin(group)
+    gamma = make_gamma(G, reps if reps == "all-nontrivial" else [el(G, r) for r in reps])
+    fibers: dict = {}
+    for t in itertools.product(gamma.elements(), repeat=d):
+        fibers.setdefault(nielsen(G, t), []).append(t)
+    return G, gamma, fibers
+
+
 def test_fiber_size_matches_enumeration(s3, s3_all):
     for nu in [(0, 2, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3)]:
         spec = FiberSpec(nu=nu, gamma=s3_all)
@@ -281,6 +326,13 @@ def test_fiber_size_matches_enumeration(s3, s3_all):
         d = sum(nu)
         expected = math.comb(d, nu[1]) * 3 ** nu[1] * 2 ** nu[2]
         assert count == expected == fiber_size(s3, spec)
+    for group, reps in FIBER_CASES:
+        for d in range(6):
+            G, gamma, fibers = product_fibers(group, reps, d)
+            for nu, tuples in fibers.items():
+                spec = FiberSpec(nu=nu, gamma=gamma)
+                assert sum(1 for _ in iter_fiber_tuples(G, spec)) == len(tuples) \
+                    == fiber_size(G, spec)
 
 
 def test_fiber_tuples_respect_ev(s3, s3_all):
@@ -290,6 +342,21 @@ def test_fiber_tuples_respect_ev(s3, s3_all):
     raw = [t for t in iter_fiber_tuples(s3, FiberSpec(nu=(0, 2, 1), gamma=s3_all))
            if evaluate(s3, t) == 0]
     assert listed == raw
+    # oracle: the sorted product over gamma, filtered by Nielsen type and
+    # evaluation, order included; the evaluation free, then pinned to each
+    # element, reachable or not
+    unreachable = 0
+    for group, reps in FIBER_CASES:
+        for d in range(6):
+            G, gamma, fibers = product_fibers(group, reps, d)
+            for nu, tuples in fibers.items():
+                assert list(iter_fiber_tuples(G, FiberSpec(nu=nu, gamma=gamma))) == tuples
+                for ev in range(G.order):
+                    expected = [t for t in tuples if evaluate(G, t) == ev]
+                    unreachable += not expected
+                    assert list(iter_fiber_tuples(G, FiberSpec(nu=nu, gamma=gamma, ev=ev))) \
+                        == expected
+    assert unreachable
 
 
 def test_enumerate_classes_spec_example(s3, s3_transpositions):

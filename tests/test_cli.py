@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hurwitz import build_builtin, make_gamma
+from hurwitz import ParseError, build_builtin, make_gamma
 from hurwitz.braid import Caps
 from hurwitz.cli import _parse_caps, _parse_gamma, build_parser, main
 from hurwitz.stability import DEFAULT_EQ_WINDOW
@@ -92,6 +92,24 @@ def test_orbit_members_dump(capsys):
     assert members == sorted(members)
 
 
+def test_orbit_members_expands_the_orbit_once(capsys, monkeypatch):
+    import hurwitz.braid
+
+    calls = []
+    closure = hurwitz.braid._closure
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(hurwitz.braid, "_closure", counted)
+    code, out, _ = run_cli(capsys, "orbit", "--group", "sym:3",
+                           "--tuple", "[(12),(13)]", "--members", "--format", "jsonl")
+    assert code == 0
+    assert len(calls) == 1
+    assert jsonl(out)[0]["size"] == len(jsonl(out)) - 1 == 3
+
+
 def test_malformed_tuple_exits_2_with_position(capsys):
     code, _, err = run_cli(capsys, "orbit", "--group", "sym:3",
                            "--tuple", "1,zz,3", "--format", "jsonl")
@@ -171,6 +189,15 @@ def test_gamma_splits_on_top_level_commas_only():
     G = build_builtin("sym:3xcyclic:2")
     want = make_gamma(G, [G.index_of("((12),1)"), G.index_of("((123),0)")])
     assert _parse_gamma(G, " ((12),1), ((123),0),") == want
+
+
+def test_gamma_entry_errors_give_the_entry_offset():
+    G = build_builtin("sym:3")
+    for text, position in (("(12), 9", 6), ("(12),  zz", 7), (" , ", None)):
+        with pytest.raises(ParseError) as exc:
+            _parse_gamma(G, text)
+        assert exc.value.position == position
+        assert ("at position" in str(exc.value)) == (position is not None)
 
 
 def test_unbalanced_gamma_exits_2_with_position(capsys):
@@ -340,6 +367,18 @@ def test_explicit_stabilizer_rejects_unread_gamma(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "--gamma" in err
+
+
+def test_flag_level_errors_name_no_position(capsys):
+    # neither error points into an argument's text, so neither names an offset
+    for argv in (["--left", "1", "--right", "1"],
+                 ["--gamma", "(13)", "--left", "1", "--right", "1", "--stabilizer", "1,1"]):
+        code, out, err = run_cli(capsys, "stable-eq", "--group", "sym:3", *argv,
+                                 "--format", "jsonl")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--gamma" in err
+        assert "at position" not in err
 
 
 # -- formats -------------------------------------------------------------------
