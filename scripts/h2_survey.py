@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
 """Compute the stable-count invariant for a list of groups.
 
+Each configuration 'groupspec:gammaspec' is one `hurwitz h2 --structure`
+run; its JSONL record is printed with the group, gamma and seconds added.
+A run that fails prints {"group", "gamma", "error"} with the CLI's error
+line, and the survey goes on.
+
     python3 scripts/h2_survey.py
     python3 scripts/h2_survey.py --configs quaternion:8:all-nontrivial --window 2
 """
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 import time
 
-from hurwitz import build_builtin, h2_structure
-from hurwitz.braid import Caps
-from hurwitz.cli import _parse_gamma
+from hurwitz import cli
 
 DEFAULT_CONFIGS = [
     "sym:3:(12)",
@@ -24,28 +29,34 @@ DEFAULT_CONFIGS = [
 ]
 
 
+def run_cli(argv):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--configs", nargs="*", default=DEFAULT_CONFIGS)
     parser.add_argument("--window", type=int, default=2)
-    parser.add_argument("--nodes", type=int, default=2_000_000)
+    parser.add_argument("--caps", default=None,
+                        help="CLI cap syntax, e.g. nodes=2000000 (default: the CLI's caps)")
     args = parser.parse_args(argv)
 
-    caps = Caps(lattice_nodes=args.nodes)
     for config in args.configs:
-        group_spec, _, gamma_spec = config.rpartition(":")
-        G = build_builtin(group_spec)
-        gamma = _parse_gamma(G, gamma_spec)
+        group, _, gamma = config.rpartition(":")
         t0 = time.time()
-        try:
-            rep = h2_structure(G, gamma, window=args.window, caps=caps)
-            record = rep.to_jsonable()
-            record.update(group=group_spec, gamma=gamma_spec,
-                          seconds=round(time.time() - t0, 2))
-            print(json.dumps(record, sort_keys=True))
-        except Exception as e:  # keep surveying past one blown budget
-            print(json.dumps({"group": group_spec, "gamma": gamma_spec,
-                              "error": f"{type(e).__name__}: {e}"}, sort_keys=True))
+        code, out, err = run_cli(["h2", f"--group={group}", f"--gamma={gamma}",
+                                  f"--window={args.window}", f"--caps={args.caps or ''}",
+                                  "--structure", "--format", "jsonl"])
+        if code == 0:
+            record = json.loads(out)
+            record.update(group=group, gamma=gamma, seconds=round(time.time() - t0, 2))
+        else:
+            record = {"group": group, "gamma": gamma, "error": err.strip()}
+        print(json.dumps(record, sort_keys=True))
     return 0
 
 

@@ -125,11 +125,13 @@ class OrbitClass:
 
 
 def _check_entries(G: FiniteGroup, v: tuple[int, ...]) -> None:
-    """Raise ValueError unless every entry of ``v`` is an element index."""
+    """Raise ValueError unless every entry of ``v`` is an element index:
+    an int, not a bool or a float, in [0, n)."""
     n = G.order
-    if v and (min(v) < 0 or max(v) >= n):
-        i, x = next((i, x) for i, x in enumerate(v) if not 0 <= x < n)
-        raise ValueError(f"entry {x} at position {i} of {v} is not an element index in [0, {n})")
+    for i, x in enumerate(v):
+        if type(x) is not int or not 0 <= x < n:
+            raise ValueError(
+                f"entry {x!r} at position {i} of {v} is not an element index in [0, {n})")
 
 
 def _closure(G: FiniteGroup, start: tuple[int, ...], cap: int, lo: int = 0,

@@ -211,20 +211,16 @@ def _cmd_stability(args, caps: Caps) -> int:
     gamma = _parse_gamma(G, args.gamma)
     nu0 = _parse_nielsen(G, args.nielsen) if args.nielsen else None
     report = find_stability_bound(G, gamma, nu0, args.window, args.confirm, caps)
-    data = report.to_jsonable()
-    records = [dict(lv) for lv in data["levels"]]
-    records.append({
-        "bound": data["bound"],
-        "confident": data["confident"],
-        "error": data["error"],
-        "stable_from_nielsen": (
-            list(report.levels[report.bound].nu) if report.bound is not None else None
-        ),
-        "uniform_floor": (
-            max(report.levels[report.bound].nu) if report.bound is not None else None
-        ),
-        "window": data["window"],
-    })
+    levels = report.to_jsonable()["levels"]
+    stable = levels[report.bound]["nu"] if report.bound is not None else None
+    records = levels + [{
+        "bound": report.bound,
+        "confident": report.confident,
+        "error": report.error,
+        "stable_from_nielsen": stable,
+        "uniform_floor": max(stable) if stable is not None else None,
+        "window": report.window,
+    }]
     _emit(records, args.format, sys.stdout)
     return EXIT_OK if report.bound is not None else EXIT_INDETERMINATE
 

@@ -63,12 +63,6 @@ class SubgroupMask(object):
     def elements(self) -> list[int]:
         return [x for x in range(self.order) if (self.bits >> x) & 1]
 
-    def is_full(self) -> bool:
-        return self.bits == (1 << self.order) - 1
-
-    def issubset(self, other: "SubgroupMask") -> bool:
-        return self.bits & ~other.bits == 0
-
 
 @dataclass(frozen=True)
 class GammaSet:
@@ -129,9 +123,6 @@ class FiniteGroup:
             acc = self.mul[acc][a]
         return acc
 
-    def element_order(self, a: int) -> int:
-        return self.element_orders[a]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -170,10 +161,6 @@ class FiniteGroup:
                 out.append(k)
             self._orders = out
         return self._orders
-
-    @property
-    def is_abelian(self) -> bool:
-        return all(s == 1 for s in self.classes.sizes)
 
     @property
     def digest(self) -> str:

@@ -27,6 +27,7 @@ from .lattice import OrbitLattice, get_lattice
 from .stability import (
     DEFAULT_CONFIRM,
     DEFAULT_WINDOW,
+    _jsonable,
     find_stability_bound,
     u_gamma,
 )
@@ -45,17 +46,7 @@ class H2Report:
     confident: bool
 
     def to_jsonable(self) -> dict:
-        return {
-            "order": self.order,
-            "structure": list(self.structure) if self.structure is not None else None,
-            "stable_level": list(self.stable_level),
-            "cross_checks": [[list(nu), c] for nu, c in self.cross_checks],
-            "commutator_order": self.commutator_order,
-            "slice_counts": [list(p) for p in self.slice_counts],
-            "base_point": list(self.base_point),
-            "bound": self.bound,
-            "confident": self.confident,
-        }
+        return _jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -78,21 +69,21 @@ class TorsorContext:
 def _stable_context(G: FiniteGroup, gamma: GammaSet, window: int, confirm: int, caps: Caps):
     """Search for the stable level once; the invariant is read off it.
 
-    Returns the stability report, the lattice, the level k * nu(u_gamma),
-    the shift word u_gamma^k and the classes at the level that generate
-    the whole group.
+    Returns the stability report, the lattice, the stable level (the
+    report's level at its bound), the shift word u_gamma^k whose class lies
+    at that level, and the classes there that generate the whole group: the
+    domain of the search's append map leaving the level.
     """
     report = find_stability_bound(G, gamma, None, window, confirm, caps)
     if report.bound is None:
         raise HomologyError(
             f"no stable level found within window {window}: {report.error}")
     u = u_gamma(G, gamma)
-    # levels are (n+1) * nu(u_gamma) since the base level is nu(u_gamma) itself
-    k = report.bound + 1
-    level = tuple(k * x for x in u.nu)
+    level = report.levels[report.bound].nu
     L = get_lattice(G, caps)
-    full = (1 << G.order) - 1
-    nodes = [x for x in L.classes_at(level) if L.sub_bits(x) == full]
+    nodes, _ = L.shift_level(level, u.vector, u.sub)
+    # composition compares z + u^k with x + y, so the level is k * nu(u_gamma)
+    k = sum(level) // sum(u.nu)
     return report, L, level, u.vector * k, nodes
 
 
@@ -109,7 +100,6 @@ def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
 
 def _order_report(G: FiniteGroup, context) -> H2Report:
     report, L, level, shift, nodes = context
-    full = (1 << G.order) - 1
     comm = commutator_subgroup(G).size
     count = len(nodes)
     if count == 0 or count % comm != 0:
@@ -117,11 +107,10 @@ def _order_report(G: FiniteGroup, context) -> H2Report:
             f"stable generating count {count} is not a positive multiple of "
             f"|[G,G]| = {comm}; level {level} may be sub-stable")
     order = count // comm
-    next_level = tuple(a + b for a, b in zip(level, report.step))
-    next_count = sum(1 for x in L.classes_at(next_level) if L.sub_bits(x) == full)
-    if next_count != count:
-        raise HomologyError(
-            f"count {next_count} at cross-check level {next_level} differs from {count}")
+    cross = report.levels[report.bound + 1]  # the search counted the next level
+    if cross.generating_count != count:
+        raise HomologyError(f"count {cross.generating_count} at cross-check level "
+                            f"{cross.nu} differs from {count}")
     by_ev = Counter(L.ev(x) for x in nodes)
     if len(by_ev) != comm or any(c != order for c in by_ev.values()):
         raise HomologyError(
@@ -130,7 +119,7 @@ def _order_report(G: FiniteGroup, context) -> H2Report:
         order=order,
         structure=None,
         stable_level=level,
-        cross_checks=((next_level, next_count),),
+        cross_checks=((cross.nu, cross.generating_count),),
         commutator_order=comm,
         slice_counts=tuple(sorted(by_ev.items())),
         base_point=L.canonical(L.shift(0, shift)),

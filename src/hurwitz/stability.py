@@ -92,27 +92,17 @@ class StabilityReport:
     error: str | None = None
 
     def to_jsonable(self) -> dict:
-        return {
-            "nu0": list(self.nu0),
-            "step": list(self.step),
-            "window": self.window,
-            "confirm": self.confirm,
-            "levels": [
-                {
-                    "n": lv.n,
-                    "nu": list(lv.nu),
-                    "count": lv.count,
-                    "generating_count": lv.generating_count,
-                    "injective": lv.injective,
-                    "surjective": lv.surjective,
-                    "bijective": lv.bijective,
-                }
-                for lv in self.levels
-            ],
-            "bound": self.bound,
-            "confident": self.confident,
-            "error": self.error,
-        }
+        return _jsonable(self)
+
+
+def _jsonable(value):
+    """A report as JSON values: dataclasses as dicts of their fields, tuples
+    as lists, recursively, so that it equals its own JSON round trip."""
+    if isinstance(value, tuple):
+        return [_jsonable(x) for x in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return {k: _jsonable(x) for k, x in vars(value).items()}
+    return value
 
 
 def _add_nu(a: tuple[int, ...], b: tuple[int, ...], times: int) -> tuple[int, ...]:

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,10 +190,12 @@ def test_orbit_cap(s3):
     assert exc.value.visited == size - 1
 
 
-@pytest.mark.parametrize("bad", [(1, -1), (1, 7)])
+@pytest.mark.parametrize("bad", [(1, -1), (1, 7), (1, True), (1, 1.0)])
 def test_brute_paths_reject_entries_outside_the_group(s3, bad):
-    # (1, -1) once read entry 5 by negative indexing, and (1, 7) an IndexError
-    message = f"entry {bad[1]} at position 1"
+    # (1, -1) once read entry 5 by negative indexing, (1, 7) raised an
+    # IndexError, (1, True) was answered as if it were (1, 1) and (1, 1.0)
+    # raised a TypeError
+    message = re.escape(f"entry {bad[1]} at position 1")
     with pytest.raises(ValueError, match=message):
         orbit(s3, bad)
     with pytest.raises(ValueError, match=message):
@@ -394,7 +397,7 @@ def test_enumerate_classes_sizes_sum_to_fiber(s3, s3_all):
 def test_enumerate_classes_generated_filter(s3, s3_transpositions):
     spec = FiberSpec(nu=(0, 2, 0), gamma=s3_transpositions, generated=s3.full_mask())
     classes = enumerate_classes(s3, spec)
-    assert all(c.subgroup.is_full() for c in classes)
+    assert all(c.subgroup.bits == (1 << s3.order) - 1 for c in classes)
     # the six ordered distinct-transposition pairs split into two orbits of
     # size three, one per 3-cycle evaluation
     assert len(classes) == 2

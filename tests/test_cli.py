@@ -395,6 +395,42 @@ def test_tsv_and_pretty_formats(capsys):
     assert "size" in out
 
 
+# exact stdout of the stability and h2 records: their keys, the lists written
+# for tuples and None written as null or "-" are all part of the output
+GOLDEN = [
+    (("stability", "--group", "sym:3", "--gamma", "all-nontrivial", "--window", "2",
+      "--format", "jsonl"),
+     '{"bijective":true,"count":3,"generating_count":3,"injective":true,"n":0,'
+     '"nu":[0,6,6],"surjective":true}\n'
+     '{"bijective":true,"count":3,"generating_count":3,"injective":true,"n":1,'
+     '"nu":[0,12,12],"surjective":true}\n'
+     '{"bijective":null,"count":3,"generating_count":3,"injective":null,"n":2,'
+     '"nu":[0,18,18],"surjective":null}\n'
+     '{"bound":0,"confident":true,"error":null,"stable_from_nielsen":[0,6,6],'
+     '"uniform_floor":6,"window":2}\n'),
+    (("h2", "--group", "alt:4", "--gamma", "(123)", "--window", "2", "--structure",
+      "--format", "jsonl"),
+     '{"base_point":[2,2,2,2,2,2,2,2,2,4,4,4],"bound":0,"commutator_order":4,'
+     '"confident":true,"cross_checks":[[[0,0,24,0],8]],"order":2,'
+     '"slice_counts":[[0,2],[3,2],[8,2],[11,2]],"stable_level":[0,0,12,0],'
+     '"structure":[2]}\n'),
+    (("stability", "--group", "sym:3", "--gamma", "all-nontrivial", "--window", "2",
+      "--format", "tsv"),
+     "bijective\tbound\tconfident\tcount\terror\tgenerating_count\tinjective\tn\tnu\t"
+     "stable_from_nielsen\tsurjective\tuniform_floor\twindow\n"
+     "True\t-\t-\t3\t-\t3\tTrue\t0\t[0,6,6]\t-\tTrue\t-\t-\n"
+     "True\t-\t-\t3\t-\t3\tTrue\t1\t[0,12,12]\t-\tTrue\t-\t-\n"
+     "-\t-\t-\t3\t-\t3\t-\t2\t[0,18,18]\t-\t-\t-\t-\n"
+     "-\t0\tTrue\t-\t-\t-\t-\t-\t-\t[0,6,6]\t-\t6\t2\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=["stability-jsonl", "h2-jsonl",
+                                                        "stability-tsv"])
+def test_stability_and_h2_stdout_bytes(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
 def test_group_file_loading(tmp_path, capsys):
     import hurwitz
 

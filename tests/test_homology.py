@@ -1,11 +1,19 @@
 import dataclasses
+import json
 
 import pytest
 
 import hurwitz.homology
 from hurwitz import (
+    H2Report,
     HomologyError,
+    OrbitLattice,
+    StabilityLevel,
+    StabilityReport,
     abelian_invariant_factors,
+    build_builtin,
+    find_stability_bound,
+    get_lattice,
     h2_order,
     h2_structure,
     make_gamma,
@@ -105,7 +113,7 @@ def test_torsor_identity_law(s3, s3_transpositions):
 def test_torsor_base_point_properties(s3, s3_all):
     ctx = torsor_group(s3, s3_all, window=3)
     assert ctx.base.cls.ev == 0
-    assert ctx.base.cls.subgroup.is_full()
+    assert ctx.base.cls.subgroup.bits == (1 << s3.order) - 1
     assert ctx.base.cls.nu == ctx.level
 
 
@@ -192,6 +200,47 @@ def test_h2_structure_searches_for_its_stable_level_once(a4, a4_three_cycles, mo
     monkeypatch.setattr(hurwitz.homology, "find_stability_bound", counting)
     h2_structure(a4, a4_three_cycles, window=2)
     assert len(calls) == 1
+
+
+def test_h2_structure_reads_its_stable_level_off_the_search(monkeypatch):
+    # a fresh group, so that its lattice holds only what this call builds
+    G = build_builtin("alt:4")
+    gamma = make_gamma(G, [G.index_of("(123)")])
+    search = hurwitz.homology.find_stability_bound
+    classes_at = OrbitLattice.classes_at
+    nodes_after_search = []
+    late_classes_at = []
+
+    def searching(*args, **kwargs):
+        report = search(*args, **kwargs)
+        nodes_after_search.append(get_lattice(G).node_count())
+        return report
+
+    def counting(self, nu):
+        if nodes_after_search:
+            late_classes_at.append(nu)
+        return classes_at(self, nu)
+
+    monkeypatch.setattr(hurwitz.homology, "find_stability_bound", searching)
+    monkeypatch.setattr(OrbitLattice, "classes_at", counting)
+    assert h2_structure(G, gamma, window=2).structure == (2,)
+    assert late_classes_at == []
+    assert nodes_after_search == [get_lattice(G).node_count()]
+
+
+def test_reports_serialise_every_field_as_json_values(a4, a4_three_cycles):
+    h2 = h2_structure(a4, a4_three_cycles, window=2).to_jsonable()
+    stability = find_stability_bound(a4, a4_three_cycles, None, 2).to_jsonable()
+    for data in (h2, stability):
+        assert data == json.loads(json.dumps(data))
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(h2) == names(H2Report)
+    assert set(stability) == names(StabilityReport)
+    assert all(set(lv) == names(StabilityLevel) for lv in stability["levels"])
+    assert h2["cross_checks"] == [[[0, 0, 24, 0], 8]] and h2["structure"] == [2]
 
 
 def test_h2_structure_trivial_cases(s3, s3_transpositions, c4):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import load_repo_file
 
 LIGHT = ["--configs", "sym:3:(12)", "--window", "2"]
@@ -21,4 +23,48 @@ def test_stability_scan_runs_one_light_configuration(capsys):
     record = json.loads(row)
     assert (record["group"], record["gamma"]) == ("sym:3", "(12)")
     assert (record["bound"], record["confident"], record["stable_count"]) == (0, True, 6)
+    assert record["uniform_floor"] == 6
     assert blank == "" and summary == "max bound over explored configurations: 0"
+
+
+# each bad input fails its configuration with the CLI's error line (None:
+# the configuration runs), and the scripts go on to the next configuration
+BAD_GAMMA = "error: unknown element '(99)' (at position 0)"
+BAD_WINDOW = "error: window must be non-negative, got -1"
+BAD_CAPS = "error: cap nodes must be non-negative, got -1 (at position 0)"
+BAD = [
+    (["--configs", "sym:3:(99)", "sym:3:(12)", "--window", "2"],
+     [("(99)", BAD_GAMMA), ("(12)", None)]),
+    (["--configs", "sym:3:(12)", "sym:3:all-nontrivial", "--window", "-1"],
+     [("(12)", BAD_WINDOW), ("all-nontrivial", BAD_WINDOW)]),
+    (["--configs", "sym:3:(12)", "sym:3:all-nontrivial", "--window", "2", "--caps", "nodes=-1"],
+     [("(12)", BAD_CAPS), ("all-nontrivial", BAD_CAPS)]),
+]
+
+
+def _outcomes(records):
+    assert all(r["group"] == "sym:3" for r in records)
+    return [(r["gamma"], r.get("error")) for r in records]
+
+
+@pytest.mark.parametrize("argv, expected", BAD, ids=["gamma", "window", "caps"])
+def test_h2_survey_reports_a_failed_configuration_and_goes_on(capsys, argv, expected):
+    survey = load_repo_file("scripts", "h2_survey.py")
+    assert survey.main(argv) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert _outcomes(records) == expected
+    assert all(set(r) == {"group", "gamma", "error"} for r in records if "error" in r)
+    orders = [r["order"] for r in records if "error" not in r]
+    assert orders == [1] * len(orders)
+
+
+@pytest.mark.parametrize("argv, expected", BAD, ids=["gamma", "window", "caps"])
+def test_stability_scan_reports_a_failed_configuration_and_goes_on(capsys, argv, expected):
+    scan = load_repo_file("scripts", "stability_scan.py")
+    assert scan.main(argv + ["--jsonl"]) == 0
+    *rows, blank, summary = capsys.readouterr().out.splitlines()
+    records = [json.loads(row) for row in rows]
+    assert _outcomes(records) == expected
+    bounds = [r["bound"] for r in records if "error" not in r]
+    assert bounds == [0] * len(bounds)
+    assert summary == f"max bound over explored configurations: {0 if bounds else None}"

@@ -222,7 +222,7 @@ def test_conjugate_power_padding_s3(s3):
     for v in gens:
         for cid in (1, 2):
             members = classes.members[cid]
-            n = s3.element_order(members[0])
+            n = s3.element_orders[members[0]]
             for g1 in members:
                 for g2 in members:
                     assert braid_equivalent(s3, v + (g1,) * n, v + (g2,) * n)
@@ -242,7 +242,7 @@ def test_factor_witness_exists_when_nielsen_dominates(s3, s3_transpositions):
         w = L.canonical(node)
         v = factor_witness(s3, w, u)
         assert v is not None
-        assert subgroup_closure(s3, v).is_full()
+        assert subgroup_closure(s3, v).bits == (1 << s3.order) - 1
         assert braid_equivalent(s3, w, v + u)
 
 
