@@ -12,7 +12,9 @@ package relies on.  Braid equivalence means membership in the same orbit
 under these moves; evaluation, Nielsen type and generated subgroup are
 orbit invariants.  `braid_equivalent` checks evaluation and Nielsen type
 before any orbit work; the generated subgroup is a prefilter on the direct
-path only, since equal lattice classes already carry equal subgroups.
+path only, since equal lattice classes already carry equal subgroups.  On
+the lattice path a pair whose classes are both built is decided by lookup
+(`OrbitLattice.find`) before any of these checks.
 
 Orbits can be expanded by brute search over raw tuples (`orbit`,
 `enumerate_classes(..., method="direct")`), which is the reference
@@ -24,8 +26,8 @@ among its powers, so `sigma_inv` reaches no further tuple.  The direct
 path walks each fiber with `iter_fiber_tuples`; with the evaluation
 pinned, the last entry of a tuple is forced (it is the inverse of the
 prefix's product times the evaluation), so it is computed, not searched.
-The brute paths reject a tuple entry that is no element index with
-ValueError; the lattice path does not check entries.
+Both paths reject a tuple entry that is no element index with ValueError
+before any shortcut; the lattice path checks entries inside its lookup fold.
 """
 
 from __future__ import annotations
@@ -124,10 +126,9 @@ class OrbitClass:
         return len(self.canonical)
 
 
-def _check_entries(G: FiniteGroup, v: tuple[int, ...]) -> None:
-    """Raise ValueError unless every entry of ``v`` is an element index:
-    an int, not a bool or a float, in [0, n)."""
-    n = G.order
+def _check_entries(v: tuple[int, ...], n: int) -> None:
+    """Raise ValueError unless every entry of ``v`` is an element index of a
+    group of order ``n``: an int, not a bool or a float, in [0, n)."""
     for i, x in enumerate(v):
         if type(x) is not int or not 0 <= x < n:
             raise ValueError(
@@ -149,7 +150,7 @@ def _closure(G: FiniteGroup, start: tuple[int, ...], cap: int, lo: int = 0,
     rather than hold more than ``cap`` tuples, and ValueError if ``start``
     holds an entry that is no element index.
     """
-    _check_entries(G, start)
+    _check_entries(start, G.order)
     conj = G.conj_table
     # sigma at position i + 1 rewrites the entries at i and j = i + 1
     spots = [(i, i + 1, i + 2) for i in range(lo, len(start) - 1)]
@@ -210,18 +211,28 @@ def braid_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
                      method: str = "lattice", caps: Caps = DEFAULT_CAPS) -> bool:
     """Decide membership in the same braid orbit.
 
-    Invariant prefilters (length, evaluation, Nielsen type) short-circuit
-    before any orbit work.  The direct path also compares generated
-    subgroups before its search.  The lattice path decides by class id
-    alone, because each class stores its subgroup; on a cold lattice a pair
-    whose subgroups differ therefore builds both classes before it returns
-    False.  The direct path raises ValueError, before any prefilter, if
-    either tuple holds an entry that is no element index.
+    Both paths first raise ValueError if either tuple holds an entry that is
+    no element index.  The lattice path does so by looking both tuples up
+    (`OrbitLattice.find`), and a pair whose classes are both built is
+    decided by class id alone.  Otherwise invariant prefilters (length,
+    evaluation, Nielsen type) short-circuit before any orbit work or any
+    node is built.  The direct path also compares generated subgroups
+    before its search.  The lattice path needs no subgroup prefilter,
+    because each class stores its subgroup; on a cold lattice a pair whose
+    subgroups differ therefore builds both classes before it returns False.
     """
     _check_method(method)
-    if method == "direct":
-        _check_entries(G, v)
-        _check_entries(G, w)
+    if method == "lattice":
+        from .lattice import get_lattice
+
+        L = get_lattice(G, caps)
+        x = L.find(v)
+        y = L.find(w)
+        if x >= 0 and y >= 0:
+            return x == y
+    else:
+        _check_entries(v, G.order)
+        _check_entries(w, G.order)
     if len(v) != len(w):
         return False
     if v == w:
@@ -234,9 +245,6 @@ def braid_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
         if generated_subgroup(G, v).bits != generated_subgroup(G, w).bits:
             return False
         return w in _closure(G, v, caps.orbit_states, target=w)
-    from .lattice import get_lattice
-
-    L = get_lattice(G, caps)
     return L.class_of(v) == L.class_of(w)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import Caps, DEFAULT_CAPS, evaluate, nielsen
+from .braid import Caps, DEFAULT_CAPS, _check_entries, evaluate, nielsen
 from .groups import FiniteGroup, GammaSet, subgroup_closure
 from .lattice import get_lattice
 
@@ -49,6 +49,8 @@ class Stabilizer:
 
 
 def make_stabilizer(G: FiniteGroup, vector: tuple[int, ...]) -> Stabilizer:
+    """``vector`` with its invariants; ValueError if an entry is no element index."""
+    _check_entries(vector, G.order)
     return Stabilizer(tuple(vector), nielsen(G, vector), evaluate(G, vector),
                       subgroup_closure(G, vector).bits)
 
@@ -196,25 +198,39 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
                       caps: Caps = DEFAULT_CAPS) -> StableEqResult:
     """Decide whether v + u^l and w + u^l become braid equivalent.
 
-    Nielsen type and evaluation are append-invariant obstructions, so a
-    mismatch is an immediate, final "false".  Otherwise copies of ``u`` are
-    appended; equality at any level settles "true".  A "false" is emitted
-    only once the explored appends past the divergence are all injective on
-    the enclosing class sets (with ``confirm`` such levels), mirroring the
-    empirical stability bound; otherwise the result is indeterminate.
+    Both tuples are first looked up (`OrbitLattice.find`), which raises
+    ValueError if either holds an entry that is no element index.  Nielsen
+    type and evaluation are append-invariant obstructions, so a mismatch is
+    an immediate, final "false": when both classes are built they are read
+    off the nodes, otherwise off the tuples, before any node is built.
+    Otherwise copies of ``u`` are appended; equality at any level settles
+    "true".  A "false" is emitted only once the explored appends past the
+    divergence are all injective on the enclosing class sets (with
+    ``confirm`` such levels), mirroring the empirical stability bound;
+    otherwise the result is indeterminate.
     """
     if confirm < 0:
         raise ValueError(f"confirm must be non-negative, got {confirm}")
     if window < 0:
         raise ValueError(f"window must be non-negative, got {window}")
-    base_nu = nielsen(G, v)
-    if base_nu != nielsen(G, w):
-        return StableEqResult(False, 0, "nielsen-type mismatch", window)
-    if evaluate(G, v) != evaluate(G, w):
-        return StableEqResult(False, 0, "evaluation mismatch", window)
     L = get_lattice(G, caps)
-    node_v = L.class_of(v)
-    node_w = L.class_of(w)
+    node_v = L.find(v)
+    node_w = L.find(w)
+    if node_v >= 0 and node_w >= 0:
+        # both classes are built, and each node stores its invariants
+        base_nu, ev_v = L.level(node_v), L.ev(node_v)
+        nu_w, ev_w = L.level(node_w), L.ev(node_w)
+    else:
+        base_nu, ev_v = nielsen(G, v), evaluate(G, v)
+        nu_w, ev_w = nielsen(G, w), evaluate(G, w)
+    if base_nu != nu_w:
+        return StableEqResult(False, 0, "nielsen-type mismatch", window)
+    if ev_v != ev_w:
+        return StableEqResult(False, 0, "evaluation mismatch", window)
+    if node_v < 0:
+        node_v = L.append_word(0, v)
+    if node_w < 0:
+        node_w = L.append_word(0, w)
     if node_v == node_w:
         return StableEqResult(True, 0, "braid equivalent", window)
     for level in range(1, window + 1):
@@ -290,9 +306,11 @@ def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],
     stabiliser, provided the fraction monoid is a group (verified first).
     Unequal Nielsen images (in particular unequal lengths) are final
     mismatches since class counts are read off the abelianisation;
-    `stable_equivalent` reports them with its own prefilters.
+    `stable_equivalent` reports them with its own prefilters.  An entry
+    that is no element index raises ValueError before the gamma check.
     """
     for t in (v, w):
+        _check_entries(t, G.order)
         for x in t:
             if x not in gamma:
                 raise ValueError(f"entry {x} lies outside gamma")
@@ -314,7 +332,13 @@ def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],
 
 def factor_witness(G: FiniteGroup, w: tuple[int, ...], u: tuple[int, ...],
                    caps: Caps = DEFAULT_CAPS) -> tuple[int, ...] | None:
-    """Find a generating v with w braid equivalent to v + u, if one exists."""
+    """Find a generating v with w braid equivalent to v + u, if one exists.
+
+    Raises ValueError, before building anything, if ``w`` or ``u`` holds an
+    entry that is no element index.
+    """
+    for t in (w, u):
+        _check_entries(t, G.order)
     L = get_lattice(G, caps)
     target = L.class_of(w)
     nu_w = nielsen(G, w)

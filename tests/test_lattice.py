@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 import weakref
 
@@ -11,15 +13,19 @@ from hurwitz import (
     CapExceeded,
     Caps,
     FiberSpec,
+    braid_equivalent,
     build_builtin,
     enumerate_classes,
     find_stability_bound,
     make_gamma,
     orbit,
     orbit_members,
+    sigma,
+    stable_equivalent,
     u_gamma,
 )
 from hurwitz.lattice import OrbitLattice, get_lattice
+from conftest import el
 
 
 def test_lattice_matches_raw_bfs_exhaustively(s3):
@@ -221,10 +227,11 @@ def test_cap_error_from_a_deep_build_carries_no_chain():
 def test_failed_build_leaves_the_node_lists_in_step(s3):
     # a letter outside the group makes the build raise after its closure;
     # no per-node list may have grown for it, or every later node would
-    # read another node's subgroup and level
+    # read another node's subgroup and level.  `class_of` rejects such a
+    # letter at entry, so the internal `append` is driven with it directly.
     L = OrbitLattice(s3)
     with pytest.raises(ValueError):
-        L.class_of((1, -1))
+        L.append(L.class_of((1,)), -1)
     lists = (L._bases, L._pre, L._let, L._size, L._canon, L._ev, L._sub, L._level_id)
     assert {len(x) for x in lists} == {L.node_count()}
     assert_memo_matches_states(L)
@@ -285,3 +292,169 @@ def test_deep_level_sizes_sum_to_fiber(s3):
     nu2 = (0, 6, 3)
     total2 = sum(L.size(n) for n in L.classes_at(nu2))
     assert total2 == math.comb(9, 6) * 3 ** 6 * 2 ** 3
+
+
+# -- checked entries and warm lookups --------------------------------------------
+
+
+BAD_ENTRIES = [(1, -1), (1, 7), (1, True), (1, 1.0)]
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
+def test_lattice_entries_reject_entries_outside_the_group(warm, bad):
+    # on a warm lattice, class_of((1, 7)) once answered the class of (1, 5)
+    # (node 23), lattice braid_equivalent((1, -1), (1, 5)) gave False,
+    # braid_equivalent((True, 2), (1, 2)) gave True and stable_equivalent
+    # ((1, -1), (1, 5)) a "distinct at level 1" False; each is an error now,
+    # raised before any shortcut and before any node is built
+    G = build_builtin("sym:3")
+    L = get_lattice(G)
+    if warm:
+        L.classes_at((0, 3, 3))
+    u = u_gamma(G, make_gamma(G, "all-nontrivial"))
+    built = L.node_count()
+    message = re.escape(f"entry {bad[1]!r} at position 1")
+    calls = [
+        lambda: L.class_of(bad),
+        lambda: L.find(bad),
+        lambda: braid_equivalent(G, bad, (1, 5)),
+        lambda: braid_equivalent(G, (1, 5), bad),
+        lambda: braid_equivalent(G, bad, bad),
+        lambda: braid_equivalent(G, bad, (1,)),
+        lambda: stable_equivalent(G, bad, (1, 5), u),
+        lambda: stable_equivalent(G, (1, 5), bad, u),
+        lambda: stable_equivalent(G, bad, bad, u),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert L.node_count() == built
+    with pytest.raises(ValueError, match=re.escape("entry True at position 0")):
+        braid_equivalent(G, (True, 2), (1, 2))
+
+
+def test_class_of_checks_entries_past_the_first_unbuilt_class():
+    # the lookup stops at the first unbuilt class; the entries after it are
+    # checked before anything is built
+    G = build_builtin("sym:3")
+    L = get_lattice(G)
+    L.classes_at((0, 1, 1))
+    built = L.node_count()
+    assert L.find((1, 3, 2)) == -1
+    with pytest.raises(ValueError, match=re.escape("entry 9 at position 3")):
+        L.class_of((1, 3, 2, 9))
+    with pytest.raises(ValueError, match=re.escape("entry 9 at position 3")):
+        braid_equivalent(G, (1, 3, 2, 4), (1, 3, 2, 9))
+    assert L.node_count() == built
+
+
+def test_find_builds_nothing_and_agrees_with_class_of(s3):
+    L = OrbitLattice(s3)
+    L.classes_at((0, 2, 2))
+    built = L.node_count()
+    rng = random.Random(8)
+    for _ in range(200):
+        v = tuple(rng.randrange(6) for _ in range(rng.randrange(6)))
+        node = L.find(v)
+        assert L.node_count() == built
+        if node < 0:
+            node = L.class_of(v)
+            built = L.node_count()
+        assert L.find(v) == L.class_of(v) == node
+        assert L.node_count() == built
+    assert L.find(()) == 0
+
+
+def test_mismatched_stable_eq_pair_builds_no_node():
+    G = build_builtin("sym:3")
+    u = u_gamma(G, make_gamma(G, "all-nontrivial"))
+    t12, t13, c3 = el(G, "(12)"), el(G, "(13)"), el(G, "(123)")
+    assert stable_equivalent(G, (t12, t13), (t12, c3), u).reason == "nielsen-type mismatch"
+    assert stable_equivalent(G, (t12, t13), (t13, t12), u).reason == "evaluation mismatch"
+    assert get_lattice(G).node_count() == 1
+
+
+def test_warm_verdicts_are_lookups(monkeypatch):
+    # once a batch has run, running it again builds no node and computes no
+    # invariant of a tuple: both tuples are found and their nodes decide
+    import hurwitz.braid
+    import hurwitz.stability
+
+    G = build_builtin("alt:4")
+    gamma = make_gamma(G, [el(G, "(123)")])
+    u = u_gamma(G, gamma)
+    rng = random.Random(9)
+    cycles = list(gamma.elements())
+    both = cycles + list(make_gamma(G, [el(G, "(132)")]).elements())
+    pairs = []
+    for _ in range(40):
+        v = tuple(rng.choice(cycles) for _ in range(rng.randrange(3, 7)))
+        k = rng.random()
+        if k < 0.3:
+            w = sigma(G, rng.randrange(1, len(v)), v)
+        elif k < 0.7:
+            w = tuple(rng.sample(v, len(v)))
+        else:
+            w = tuple(rng.choice(cycles if k < 0.85 else both) for _ in v)
+        pairs.append((v, w))
+
+    def batch():
+        return ([braid_equivalent(G, v, w) for v, w in pairs],
+                [stable_equivalent(G, v, w, u, 3, 1) for v, w in pairs])
+
+    L = get_lattice(G)
+    for pair in pairs:
+        for t in pair:
+            L.class_of(t)
+    first = batch()
+    built = L.node_count()
+
+    def no_scan(*args):
+        raise AssertionError("a warm verdict scanned a tuple")
+
+    for module in (hurwitz.braid, hurwitz.stability):
+        monkeypatch.setattr(module, "nielsen", no_scan)
+        monkeypatch.setattr(module, "evaluate", no_scan)
+    assert batch() == first
+    assert L.node_count() == built
+    verdicts = [r.equivalent for r in first[1]]
+    reasons = {r.reason.split(" at ")[0] for r in first[1]}
+    assert True in first[0] and False in first[0] and None not in verdicts
+    assert {"nielsen-type mismatch", "evaluation mismatch", "distinct"} <= reasons
+
+
+def lattice_fingerprint(L):
+    h = hashlib.sha256()
+    for field in (L._pre, L._let, L._canon, L._size, L._ev, L._sub, L._level_id, L._next):
+        h.update(repr(field).encode())
+    return h.hexdigest()
+
+
+def test_cold_builds_are_pinned_by_fingerprint():
+    # a fixed sequence of cold lookups, verdicts and levels; the digests pin
+    # every node list, so a change in what the entry points build, or in
+    # what order, shows here
+    G = build_builtin("sym:3")
+    t12, t13, t23, c3 = (el(G, x) for x in ("(12)", "(13)", "(23)", "(123)"))
+    u = u_gamma(G, make_gamma(G, "all-nontrivial"))
+    L = get_lattice(G)
+    L.class_of((t12, c3, t13, t23))
+    v = (t12, t13, c3, t23, c3)
+    assert braid_equivalent(G, v, sigma(G, 2, sigma(G, 4, v)))
+    assert not braid_equivalent(G, (t12, t13), (t12, c3))
+    assert braid_equivalent(G, (t12, t12, c3), (t13, t13, c3))
+    assert stable_equivalent(G, (t12, t12), (t13, t13), u, 3, 1).level == 1
+    assert stable_equivalent(G, (t12, c3), (t13, t23), u, 3, 1).reason == "nielsen-type mismatch"
+    assert stable_equivalent(G, (t12, t13), (t13, t12), u, 3, 1).reason == "evaluation mismatch"
+    L.classes_at((0, 3, 3))
+    assert L.node_count() == 213
+    assert lattice_fingerprint(L) == "316b71e2cb3d3b4dca1993805f0184b810deeaf34ae5db5b65eae7f3f25faca0"
+    A = build_builtin("alt:4")
+    gamma = make_gamma(A, [el(A, "(123)")])
+    find_stability_bound(A, gamma, None, 2, 1)
+    res = stable_equivalent(A, (2, 2, 2, 4), (2, 2, 9, 9), u_gamma(A, gamma), 3, 1)
+    assert (res.equivalent, res.level) == (False, 1)
+    LA = get_lattice(A)
+    assert LA.node_count() == 464
+    assert lattice_fingerprint(LA) == "c7d6a501a91e524bd5a64b694374165d9dca3cb000d71283af8855e1f1d4ea09"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -250,6 +251,24 @@ def test_factor_witness_none_when_nielsen_too_small(s3):
     assert factor_witness(s3, (el(s3, "(12)"),), (el(s3, "(123)"),)) is None
 
 
+@pytest.mark.parametrize("bad", [(1, -1), (1, 7), (1, True), (1, 1.0)])
+def test_stabilizer_and_witness_reject_entries_outside_the_group(bad):
+    # make_stabilizer(G, (1, -1)) once gave a stabiliser with nu (0, 2, 0)
+    # and ev 4, read by negative indexing, and factor_witness(G, (1, 2, 3),
+    # (7,)) raised a bare IndexError
+    G = build_builtin("sym:3")
+    message = re.escape(f"entry {bad[1]!r} at position 1")
+    with pytest.raises(ValueError, match=message):
+        make_stabilizer(G, bad)
+    with pytest.raises(ValueError, match=message):
+        factor_witness(G, bad, (1,))
+    with pytest.raises(ValueError, match=message):
+        factor_witness(G, (1, 2, 3), bad)
+    with pytest.raises(ValueError, match=re.escape("entry 7 at position 0")):
+        factor_witness(G, (1, 2, 3), (7,))
+    assert get_lattice(G).node_count() == 1
+
+
 # -- stable equivalence ----------------------------------------------------------------
 
 
@@ -460,6 +479,14 @@ def test_adj_squares_of_conjugates_equal(s3, s3_transpositions):
 def test_adj_rejects_entries_outside_gamma(s3, s3_transpositions):
     with pytest.raises(ValueError, match="outside gamma"):
         adj_word_equal(s3, s3_transpositions, (el(s3, "(123)"),), (el(s3, "(12)"),))
+
+
+@pytest.mark.parametrize("bad", [(1, -1), (1, 7), (1, True), (1, 1.0)])
+def test_adj_rejects_entries_outside_the_group(s3, s3_all, bad):
+    # (1, -1) raised "negative shift count" from the gamma test, (1, 7) was
+    # reported as outside gamma and (1, 1.0) raised a TypeError
+    with pytest.raises(ValueError, match=re.escape(f"entry {bad[1]!r} at position 1")):
+        adj_word_equal(s3, s3_all, bad, (1, 2))
 
 
 def test_adj_word_equal_reuses_its_stabiliser(monkeypatch):
