@@ -223,8 +223,6 @@ def braid_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     """
     _check_method(method)
     if method == "lattice":
-        from .lattice import get_lattice
-
         L = get_lattice(G, caps)
         x = L.find(v)
         y = L.find(w)
@@ -418,8 +416,6 @@ def enumerate_classes(G: FiniteGroup, spec: FiberSpec, caps: Caps = DEFAULT_CAPS
     spec.validate(G)
     if method == "direct":
         return _enumerate_direct(G, spec, caps)
-    from .lattice import get_lattice
-
     L = get_lattice(G, caps)
     out = []
     for node in L.classes_at(spec.nu):
@@ -512,3 +508,8 @@ def format_tuple(G: FiniteGroup, v: tuple[int, ...]) -> str:
     if G.names is not None:
         return "[" + ",".join(G.names[x] for x in v) + "]"
     return ",".join(str(x) for x in v)
+
+
+# last, because the lattice imports from this module: by the time it does,
+# every name it needs is defined (the package imports this module first)
+from .lattice import get_lattice  # noqa: E402

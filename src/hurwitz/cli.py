@@ -9,6 +9,7 @@ and carry no such guarantee.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -266,7 +267,9 @@ def _cmd_stable_eq(args, caps: Caps) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hurwitz",
         description="Braid orbits of finite-group tuples: enumeration, "

@@ -56,6 +56,26 @@ fill most of it (65% for alt:4 up to (0, 36, 36, 0), 80% for sym:3 up to
 sparse lattice takes more, such as the classes of 40 random triples over
 alt:6 (2% fill, about three times the memory of the dict).
 
+Simultaneous conjugation by an element s of G commutes with the braid
+moves, so it permutes the classes of every level: the states (c, a) of a
+class X map to the states (c^s, a^s) of X^s, which has X's size and level.
+`classes_at` builds by this *transport*.  When one of its builds closes a
+class, the rest of the class's orbit under conjugation by the non-central
+elements of a generating set is built from it without a closure, and the
+closure passes the same flag down to the builds nested in it.  Only
+`classes_at` transports: a level is closed under conjugation and the closure
+is equivariant, so every conjugate transport builds would have been built by
+the same request anyway; the node set is that of closing every class, only
+the order differs.  Sparse requests would pay for conjugates nobody asked
+for (the classes of 40 random alt:6 triples are 5,859 nodes, and 22,906 if
+every build transported), so `class_of`, `append_word` and `shift` close
+every class they build, node for node.  The conjugates are kept in one map
+per generator, `_conj[i]`, from node to the conjugate's row base (again the
+`_bases` object, so 8 bytes per generator per node: 16 for sym:3 and alt:4,
+none for an abelian group, which has no non-central generator) or -1 while
+unknown; a prefix built outside `classes_at` gets its conjugate when a
+transport first needs it, through one of its states.
+
 Stabiliser words are appended over and over (stability searches,
 stable-equivalence verdicts, homology shifts), so their append maps are
 memoised per word: `shift` stores rep(node) + word for each node it has
@@ -112,6 +132,17 @@ class OrbitLattice:
         # (word, level) -> (domain classes, their images)
         self._shifts: dict[tuple[int, ...], dict[int, int]] = {}
         self._level_shifts: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        # conjugation by the non-central elements of a generating set, taken
+        # greedily (none for an abelian group): _gens[i][x] = x^s_i, and
+        # _conj[i][node] is the row base of the node's conjugate by s_i, or
+        # -1 while it is unknown
+        self._gens: list[tuple[int, ...]] = []
+        span, identity = 1, tuple(range(n))
+        for s, row in enumerate(self._fwd):
+            if not (span >> s) & 1 and row != identity:
+                self._gens.append(row)
+                span = closure_bits(self._mul, span, s)
+        self._conj: list[list[int]] = [[0] for _ in self._gens]
         # canonical representatives and last letters are bytes when every
         # letter fits in one
         if n <= 256:
@@ -197,12 +228,14 @@ class OrbitLattice:
             hit = self._new_class(node * n, g)
         return hit // n
 
-    def _new_class(self, base: int, g: int) -> int:
+    def _new_class(self, base: int, g: int, orbit: bool = False) -> int:
         """Build the class of rep(base // n) + (g,), whose slot is unfilled.
 
         Takes and returns row bases.  The table holds every state of every
         class built, so the start state begins a new class; misses inside
-        the closure only reach lower levels.
+        the closure only reach lower levels.  With ``orbit`` the class's
+        conjugation orbit is built with it, and so are the orbits of the
+        classes the closure builds.
         """
         n = self._n
         nxt = self._next
@@ -222,7 +255,7 @@ class OrbitLattice:
                 # forward move on the last two strands: (b, a) -> (a, b^a)
                 child = nxt[q + a]
                 if child < 0:
-                    child = new_class(q, a)
+                    child = new_class(q, a, orbit)
                 s = child + fwd[b]
                 if s not in seen:
                     add(s)
@@ -232,17 +265,32 @@ class OrbitLattice:
         base_level = self.level(node)
         cid = self._class_of[g]
         level = base_level[:cid] + (base_level[cid] + 1,) + base_level[cid + 1 :]
+        # everything that can raise comes before the first append, so that
+        # the parallel node lists stay in step
+        if orbit:
+            return self._add_orbit(states, self._mul[self._ev[node]][g],
+                                   self._subgroup_with(self._sub[node], g), level)
         nid = len(self._size)
         if nid >= self.max_nodes:
             raise CapExceeded(f"class lattice exceeds node cap at level {level}",
                               nid - self._cap_base, "new nodes")
-        # everything that can raise comes before the first append, so that
-        # the parallel node lists stay in step
         ev = self._mul[self._ev[node]][g]
         sub = self._subgroup_with(self._sub[node], g)
         lid = self._level_index(level)
-        # plain loops: a comprehension would make n a closure cell, which
-        # slows every use of n in the loop above
+        mine = nid * n
+        for cmap in self._conj:
+            cmap.append(-1)
+        self._store(states, ev, sub, lid, mine)
+        # every state of the class is itself a one-letter extension landing here
+        for p in states:
+            nxt[p] = mine
+        return mine
+
+    def _store(self, states: list[int], ev: int, sub: int, lid: int, mine: int) -> None:
+        """Append the node with row base ``mine`` and the given sorted states;
+        the caller fills the states' slots."""
+        n = self._n
+        # plain loops: a comprehension would make n a closure cell
         bases, size, canon, letters = self._bases, self._size, self._canon, self._letters
         total = 0
         best = None
@@ -257,20 +305,120 @@ class OrbitLattice:
             word = canon[c] + letters[a]
             if best is None or word < best:
                 best = word
-        mine = nid * n
         bases.append(mine)
-        pre_of.append(tuple(pre))
-        let_of.append(self._word_of(let))
+        self._pre.append(tuple(pre))
+        self._let.append(self._word_of(let))
         size.append(total)
         canon.append(best)
         self._ev.append(ev)
         self._sub.append(sub)
         self._level_id.append(lid)
-        nxt += self._empty_row
-        # every state of the class is itself a one-letter extension landing here
-        for p in states:
-            nxt[p] = mine
-        return mine
+        self._next += self._empty_row
+
+    def _add_orbit(self, states: list[int], ev: int, sub: int, level: tuple[int, ...]) -> int:
+        """Append the class with sorted ``states`` and every unbuilt class of
+        its conjugation orbit, found by transport; return the first's row base.
+
+        Pending classes get the row bases they will have, from the current
+        node count up, written into their states' slots: one slot read tells
+        a built, a pending and an unseen conjugate apart.  A build of a
+        missing prefix conjugate moves the node count, so the search starts
+        over after one.  The batch is appended whole or not at all: a cap
+        error puts -1 back in its slots.
+        """
+        n = self._n
+        nxt = self._next
+        size = self._size
+        gens, conj = self._gens, self._conj
+        conj_of = self._conj_of
+        while True:
+            nid = len(size)
+            top = nid * n
+            # per pending class: its states, its row base (the one int object
+            # that `_bases`, the slots and the maps share), ev and subgroup
+            batch, mines, evs, subs = [states], [top], [ev], [sub]
+            cols = [[] for _ in gens]  # per generator, the pending classes' conjugates
+            for p in states:
+                nxt[p] = top
+            members = [top]
+            seen = {top}
+            kept = False
+            try:
+                for m in members:
+                    pending = m >= top
+                    if pending:
+                        src = batch[m // n - nid]
+                    else:
+                        x = m // n
+                        src = [c + a for c, a in zip(self._pre[x], self._let[x])]
+                    a = src[0] % n
+                    c = src[0] // n
+                    for fs, cmap, col in zip(gens, conj, cols):
+                        t = -1 if pending else cmap[x]
+                        if t < 0:
+                            # the conjugate holds the state (c^s, a^s)
+                            cs = cmap[c]
+                            if cs < 0:
+                                cs = conj_of(fs, cmap, c)
+                            t = nxt[cs + fs[a]]
+                            if t < 0:
+                                image = []
+                                for p in src:
+                                    q = cmap[p // n]
+                                    if q < 0:
+                                        q = conj_of(fs, cmap, p // n)
+                                    image.append(q + fs[p % n])
+                                image.sort()
+                                t = (nid + len(batch)) * n
+                                for p in image:
+                                    nxt[p] = t
+                                batch.append(image)
+                                mines.append(t)
+                                evs.append(fs[evs[m // n - nid] if pending else self._ev[x]])
+                                subs.append(self._subgroup_with(self._sub[cs // n], fs[a]))
+                            if not pending and t < top:
+                                cmap[x] = t
+                        if pending:
+                            col.append(t)
+                        if t not in seen:
+                            seen.add(t)
+                            members.append(t)
+                if len(size) == nid:
+                    if nid + len(batch) > self.max_nodes:
+                        raise CapExceeded(f"class lattice exceeds node cap at level {level}",
+                                          nid - self._cap_base, "new nodes")
+                    kept = True
+            finally:
+                if not kept:
+                    for image in batch:
+                        for p in image:
+                            nxt[p] = -1
+            if kept:
+                break
+        lid = self._level_index(level)
+        for k, image in enumerate(batch):
+            self._store(image, evs[k], subs[k], lid, mines[k])
+        for cmap, col in zip(conj, cols):
+            cmap += col
+        return top
+
+    def _conj_of(self, fs: tuple[int, ...], cmap: list[int], x: int) -> int:
+        """Row base of the conjugate of node ``x`` under the conjugation
+        ``fs``, whose node map is ``cmap``.
+
+        A missing entry is found through the node's first state (c, a): the
+        conjugate is the class of rep(c^s) + (a^s), built (with its orbit)
+        if need be.
+        """
+        t = cmap[x]
+        if t < 0:
+            a = fs[self._let[x][0]]
+            c = self._conj_of(fs, cmap, self._pre[x][0] // self._n)
+            t = self._next[c + a]
+            if t < 0:
+                t = self._new_class(c, a, True)
+            cmap[x] = t
+        return t
 
     def append_word(self, node: int, word: tuple[int, ...]) -> int:
         """Class of rep(node) + word: the table fold, `append` inlined per letter.
@@ -366,8 +514,18 @@ class OrbitLattice:
             result: tuple[int, ...] = (0,)
         else:
             below = self.classes_at(nu[:pivot] + (nu[pivot] - 1,) + nu[pivot + 1 :])
-            members = self._members[pivot]
-            found = {self.append(c, g) for c in below for g in members}
+            # a level is closed under conjugation, so its builds transport
+            # (when G is not abelian)
+            n, nxt, members = self._n, self._next, self._members[pivot]
+            orbit = bool(self._gens)
+            found = set()
+            for c in below:
+                base = c * n
+                for g in members:
+                    hit = nxt[base + g]
+                    if hit < 0:
+                        hit = self._new_class(base, g, orbit)
+                    found.add(hit // n)
             result = tuple(sorted(found, key=lambda nid: self._canon[nid]))
         self._classes_at[nu] = result
         return result

@@ -441,3 +441,37 @@ def test_group_file_loading(tmp_path, capsys):
                            "--tuple", "[(12),(13)]", "--format", "jsonl")
     assert code == 0
     assert jsonl(out)[0]["size"] == 3
+
+
+def call_cli(capsys, argv):
+    """Exit code, stdout and stderr of one in-process call, parser errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parser_gives_each_call_what_it_gives_alone(capsys):
+    # the parser is built once per process; a call rejected by the parser, a
+    # call rejected after parsing and a valid h2 call give the same exit
+    # code and output whichever ran before them
+    h2 = ["h2", "--group", "sym:3", "--gamma", "(12)", "--format", "jsonl",
+          "--window", "2", "--confirm", "1"]
+    calls = {
+        "parser": ["h2", "--group", "sym:3", "--format", "jsonl", "--nielsen", "0,1,0"],
+        "caps": [*h2, "--caps", "nodes=-1"],
+        "h2": h2,
+    }
+    alone = {}
+    for key, argv in calls.items():
+        build_parser.cache_clear()
+        alone[key] = call_cli(capsys, argv)
+    assert [alone[k][0] for k in calls] == [2, 2, 0]
+    assert alone["parser"][2].startswith("usage:") and alone["caps"][2].startswith("error:")
+    assert jsonl(alone["h2"][1])[0]["order"] == 1
+    assert build_parser() is build_parser()
+    for first, second in (("parser", "h2"), ("h2", "parser"), ("caps", "h2"), ("h2", "caps")):
+        build_parser.cache_clear()
+        assert [call_cli(capsys, calls[k]) for k in (first, second)] == [alone[first], alone[second]]

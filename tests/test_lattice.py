@@ -232,7 +232,7 @@ def test_failed_build_leaves_the_node_lists_in_step(s3):
     L = OrbitLattice(s3)
     with pytest.raises(ValueError):
         L.append(L.class_of((1,)), -1)
-    lists = (L._bases, L._pre, L._let, L._size, L._canon, L._ev, L._sub, L._level_id)
+    lists = (L._bases, L._pre, L._let, L._size, L._canon, L._ev, L._sub, L._level_id, *L._conj)
     assert {len(x) for x in lists} == {L.node_count()}
     assert_memo_matches_states(L)
     fresh = OrbitLattice(s3)
@@ -457,4 +457,189 @@ def test_cold_builds_are_pinned_by_fingerprint():
     assert (res.equivalent, res.level) == (False, 1)
     LA = get_lattice(A)
     assert LA.node_count() == 464
-    assert lattice_fingerprint(LA) == "c7d6a501a91e524bd5a64b694374165d9dca3cb000d71283af8855e1f1d4ea09"
+    # classes_at builds each conjugation orbit together, so the alt:4 order
+    # (not its node set) differs from a lattice that closes every class
+    assert lattice_fingerprint(LA) == "5ef71dd52c6ae272009da0cff86ed4a94a7a65e83feab051ee018d10e4e67aca"
+
+
+# -- conjugation orbits ------------------------------------------------------------
+
+
+def node_lists(L):
+    return (L._bases, L._pre, L._let, L._size, L._canon, L._ev, L._sub, L._level_id, *L._conj)
+
+
+def closure_only(G):
+    """A lattice that builds every class by closure, as `class_of` does."""
+    L = OrbitLattice(G)
+    L._gens, L._conj = [], []
+    return L
+
+
+def node_record(L, x):
+    return (L.canonical(x), L.size(x), L.ev(x), L.sub_bits(x), L.level(x))
+
+
+@pytest.mark.parametrize("spec, nu", [
+    ("sym:3", (0, 6, 6)),
+    ("alt:4", (0, 12, 0, 0)),
+    ("alt:4", (0, 6, 6, 0)),
+    ("dihedral:4", (0, 1, 2, 2, 2)),
+    ("quaternion:8", (0, 2, 2, 2, 2)),
+])
+def test_transported_classes_match_the_closure_path(spec, nu):
+    # every node of a cold `classes_at` build, transported or closed, agrees
+    # with `class_of` of its canonical representative on a fresh lattice,
+    # whose builds are closures; so does every conjugate the lattice stored
+    G = build_builtin(spec)
+    L = OrbitLattice(G)
+    top = L.classes_at(nu)
+    assert L._gens and len(L._conj) == len(L._gens)
+    fresh = OrbitLattice(G)
+    for x in range(L.node_count()):
+        assert node_record(fresh, fresh.class_of(L.canonical(x))) == node_record(L, x)
+    n = G.order
+    stored = 0
+    for fs, cmap in zip(L._gens, L._conj):
+        for x, t in enumerate(cmap):
+            if t < 0:
+                continue
+            stored += 1
+            image = tuple(fs[a] for a in L.canonical(x))
+            assert fresh.canonical(fresh.class_of(image)) == L.canonical(t // n)
+    # the whole orbit of every class of the level was built with it
+    assert stored > len(top)
+    assert all(cmap[x] >= 0 for cmap in L._conj for x in top)
+    assert_memo_matches_states(L)
+
+
+def test_transport_builds_the_closure_path_nodes():
+    # same node set and answers as a lattice that closes every class; only
+    # the build order differs
+    for spec, nu in (("sym:3", (0, 8, 8)), ("alt:4", (0, 6, 6, 0)), ("dihedral:4", (0, 2, 3, 3, 3))):
+        G = build_builtin(spec)
+        L, ref = OrbitLattice(G), closure_only(G)
+        assert ([node_record(L, x) for x in L.classes_at(nu)]
+                == [node_record(ref, x) for x in ref.classes_at(nu)])
+        assert L.node_count() == ref.node_count()
+        assert ({node_record(L, x) for x in range(L.node_count())}
+                == {node_record(ref, x) for x in range(ref.node_count())})
+
+
+def test_class_of_builds_are_unchanged_by_transport():
+    # builds reached from class_of, append_word and shift are closures, node
+    # for node and in the same order as before classes were transported:
+    # the digests were computed on the lattice that closed every class
+    G = build_builtin("sym:4")
+    rng = random.Random(6)
+    L = OrbitLattice(G)
+    for _ in range(40):
+        L.class_of(tuple(rng.randrange(G.order) for _ in range(4)))
+    assert L.node_count() == 602
+    assert lattice_fingerprint(L) == "21e09e7e04e23e1b0f4230e55ae71f77008979d7d384efe327fde4d98fa5d1f4"
+    A = build_builtin("alt:4")
+    u = u_gamma(A, make_gamma(A, [el(A, "(123)")]))
+    L = OrbitLattice(A)
+    L.append_word(0, (2, 9, 2, 4, 9))
+    L.shift(L.class_of((2, 2, 9)), u.vector)
+    L.shift(L.class_of((9, 9, 2, 4)), u.vector * 2)
+    assert L.node_count() == 305
+    assert lattice_fingerprint(L) == "528a5c7a30698ab49521e6a995b932f9201936d3cdc4ce0058920ae5f0671edd"
+    assert all(x < 0 for cmap in L._conj for x in cmap[1:])
+
+
+def class_of_history(G, nu, seed, count=12):
+    """Random tuples of the classes of ``nu``, at most as many of each."""
+    members = G.classes.members
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        v = [rng.choice(members[c]) for c in range(len(nu)) for _ in range(rng.randrange(nu[c] + 1))]
+        rng.shuffle(v)
+        out.append(tuple(v))
+    return out
+
+
+def count_prefix_conjugate_builds(monkeypatch):
+    """Count the conjugate lookups that built nodes, and those a cap error
+    left."""
+    counts = {"built": 0, "raised": 0}
+    inner = OrbitLattice._conj_of
+
+    def counted(self, fs, cmap, x):
+        before = self.node_count()
+        try:
+            t = inner(self, fs, cmap, x)
+        except CapExceeded:
+            counts["raised"] += 1
+            raise
+        counts["built"] += self.node_count() > before
+        return t
+
+    monkeypatch.setattr(OrbitLattice, "_conj_of", counted)
+    return counts
+
+
+def test_classes_at_after_class_of_history_matches_a_fresh_lattice(monkeypatch):
+    # classes built by class_of carry no conjugates; a later classes_at
+    # finds them through one state each, building the missing ones, and
+    # ends with the node set and answers of a lattice without that history
+    counts = count_prefix_conjugate_builds(monkeypatch)
+    for spec, nu in (("sym:3", (0, 5, 5)), ("alt:4", (0, 3, 3, 0)), ("quaternion:8", (0, 2, 2, 2, 1))):
+        G = build_builtin(spec)
+        L, ref = OrbitLattice(G), closure_only(G)
+        for lat in (L, ref):
+            for v in class_of_history(G, nu, 2):
+                lat.class_of(v)
+        built = L.node_count()
+        assert all(cmap[x] < 0 for cmap in L._conj for x in range(1, built))
+        assert ([node_record(L, x) for x in L.classes_at(nu)]
+                == [node_record(ref, x) for x in ref.classes_at(nu)]
+                == [node_record(f, x) for f in [OrbitLattice(G)] for x in f.classes_at(nu)])
+        assert L.node_count() == ref.node_count()
+        assert ({node_record(L, x) for x in range(L.node_count())}
+                == {node_record(ref, x) for x in range(ref.node_count())})
+        # conjugates of old classes were found
+        assert any(cmap[x] >= 0 for cmap in L._conj for x in range(1, built))
+        assert {len(x) for x in node_lists(L)} == {L.node_count()}
+        assert_memo_matches_states(L)
+    assert counts["built"] > 0
+
+
+@pytest.mark.parametrize("history", [False, True])
+def test_cap_inside_an_orbit_batch_appends_none_of_it(history, monkeypatch):
+    # every cap short of the level fires inside an orbit batch (after a
+    # class_of history, also inside a build of a missing prefix conjugate);
+    # the lattice stays consistent and finishing the level gives what a
+    # fresh lattice gives
+    counts = count_prefix_conjugate_builds(monkeypatch)
+    G = build_builtin("alt:4")
+    nu = (0, 3, 3, 0)
+    fresh = OrbitLattice(G)
+    want = [node_record(fresh, x) for x in fresh.classes_at(nu)]
+
+    def start():
+        L = OrbitLattice(G)
+        for v in class_of_history(G, nu, 2) if history else ():
+            L.class_of(v)
+        return L, L.node_count()
+
+    L, before = start()
+    L.classes_at(nu)
+    needed = L.node_count() - before
+    refused_with_room = 0
+    for limit in range(1, needed):
+        L, before = start()
+        L.limit_new_nodes(limit)
+        with pytest.raises(CapExceeded) as exc:
+            L.classes_at(nu)
+        assert exc.value.visited == L.node_count() - before <= limit
+        refused_with_room += L.node_count() < L.max_nodes
+        assert {len(x) for x in node_lists(L)} == {L.node_count()}
+        assert_memo_matches_states(L)
+        L.limit_new_nodes(10**6)
+        assert [node_record(L, x) for x in L.classes_at(nu)] == want
+        assert L.node_count() == fresh.node_count()
+    # some batches did not fit although some of their nodes would have
+    assert refused_with_room > 0
+    assert (counts["raised"] > 0) == history
