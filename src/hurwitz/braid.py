@@ -63,10 +63,13 @@ Move = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
 # -- moves and invariants ----------------------------------------------------
+# Each checks its tuple first: an entry that is no element index raises
+# ValueError naming its position and value.
 
 
 def sigma(G: FiniteGroup, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
     """Positive braid move at position i (1-based)."""
+    _check_entries(v, G.order)
     if not 1 <= i <= len(v) - 1:
         raise IndexError(f"sigma position {i} out of range for length {len(v)}")
     a, b = v[i - 1], v[i]
@@ -75,6 +78,7 @@ def sigma(G: FiniteGroup, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
 
 def sigma_inv(G: FiniteGroup, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse braid move at position i; undoes `sigma`."""
+    _check_entries(v, G.order)
     if not 1 <= i <= len(v) - 1:
         raise IndexError(f"sigma position {i} out of range for length {len(v)}")
     a, b = v[i - 1], v[i]
@@ -83,6 +87,7 @@ def sigma_inv(G: FiniteGroup, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
 
 def evaluate(G: FiniteGroup, v: tuple[int, ...]) -> int:
     """Left-to-right product of the entries; identity for the empty tuple."""
+    _check_entries(v, G.order)
     acc = 0
     mul = G.mul
     for x in v:
@@ -92,6 +97,7 @@ def evaluate(G: FiniteGroup, v: tuple[int, ...]) -> int:
 
 def nielsen(G: FiniteGroup, v: tuple[int, ...]) -> tuple[int, ...]:
     """Class-count vector: how many entries lie in each conjugacy class."""
+    _check_entries(v, G.order)
     ct = G.classes
     class_of = ct.class_of
     counts = [0] * ct.count
@@ -101,6 +107,7 @@ def nielsen(G: FiniteGroup, v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def generated_subgroup(G: FiniteGroup, v: tuple[int, ...]) -> SubgroupMask:
+    _check_entries(v, G.order)
     return subgroup_closure(G, v)
 
 
@@ -335,30 +342,32 @@ def iter_fiber_tuples(G: FiniteGroup, spec: FiberSpec) -> Iterator[tuple[int, ..
     mul, inv, class_of = G.mul, G.inv, ct.class_of
     pinned = spec.ev is not None
 
-    # reachable[nu_rem] = bitmask of products achievable by some arrangement
-    reachable: dict[tuple[int, ...], int] = {}
+    # reachable[nu_rem] = bitmask of products achievable by some arrangement.
+    # sigma moves an entry one place left unchanged, so some arrangement of
+    # each product starts with an entry of p, the first class nu_rem counts:
+    # the products are C_p times those of nu_rem - e_p, a chain of types
+    # down to a memoised one (the empty type at the latest).
+    reachable: dict[tuple[int, ...], int] = {(0,) * ct.count: 1}
 
     def products(nu_rem: tuple[int, ...]) -> int:
+        chain = []
         hit = reachable.get(nu_rem)
-        if hit is not None:
-            return hit
-        if not any(nu_rem):
-            out = 1  # identity only
-        else:
+        while hit is None:
+            p = next(i for i, c in enumerate(nu_rem) if c)
+            chain.append((nu_rem, p))
+            nu_rem = nu_rem[:p] + (nu_rem[p] - 1,) + nu_rem[p + 1 :]
+            hit = reachable.get(nu_rem)
+        for nu_rem, p in reversed(chain):
             out = 0
-            for cid, count in enumerate(nu_rem):
-                if not count:
-                    continue
-                rest = products(nu_rem[:cid] + (count - 1,) + nu_rem[cid + 1 :])
-                for g in ct.members[cid]:
-                    row = mul[g]
-                    sub = rest
-                    while sub:
-                        low = sub & -sub
-                        out |= 1 << row[low.bit_length() - 1]
-                        sub ^= low
-        reachable[nu_rem] = out
-        return out
+            for g in ct.members[p]:
+                row = mul[g]
+                sub = hit
+                while sub:
+                    low = sub & -sub
+                    out |= 1 << row[low.bit_length() - 1]
+                    sub ^= low
+            hit = reachable[nu_rem] = out
+        return hit
 
     # options[nu_rem] = the possible next entries g in increasing order, each
     # with the row of g^-1 (need -> what the entries after g still need), the
@@ -379,28 +388,24 @@ def iter_fiber_tuples(G: FiniteGroup, spec: FiberSpec) -> Iterator[tuple[int, ..
             options[nu_rem] = hit
         return hit
 
-    prefix: list[int] = []
+    # depth first: one pending (prefix, type left, product the rest must
+    # have) per admissible choice, pushed in reverse so that they pop in
+    # lexicographic order; with the evaluation free the product is carried
+    # but constrains nothing
     last = d - 1
-
-    def extend(nu_rem: tuple[int, ...], need: int) -> Iterator[tuple[int, ...]]:
-        # ``need`` is the product the remaining entries must have; with the
-        # evaluation free it is carried but constrains nothing
-        if len(prefix) == last:
-            if not pinned:
-                head = tuple(prefix)
-                for g, _, _, _ in choices(nu_rem):
-                    yield head + (g,)
-            elif nu_rem[class_of[need]]:
-                yield (*prefix, need)
-            return
-        for g, back, nxt, reach in choices(nu_rem):
-            left = back[need]
-            if (reach >> left) & 1:
-                prefix.append(g)
-                yield from extend(nxt, left)
-                prefix.pop()
-
-    yield from extend(spec.nu, spec.ev if pinned else 0)
+    stack = [((), spec.nu, spec.ev if pinned else 0)]
+    while stack:
+        head, nu_rem, need = stack.pop()
+        if len(head) < last:
+            for g, back, nxt, reach in reversed(choices(nu_rem)):
+                left = back[need]
+                if (reach >> left) & 1:
+                    stack.append((head + (g,), nxt, left))
+        elif not pinned:
+            for g, _, _, _ in choices(nu_rem):
+                yield head + (g,)
+        elif nu_rem[class_of[need]]:
+            yield head + (need,)
 
 
 def enumerate_classes(G: FiniteGroup, spec: FiberSpec, caps: Caps = DEFAULT_CAPS,

@@ -30,9 +30,9 @@ which is also an index into the one append table, `_next`: a flat list with
 a row of n slots per node, appended when the node is built.  Slot c * n + a
 holds the row base t * n of the class t of rep(c) + (a,), or -1 while that
 class is unbuilt, so every state of every class built is a filled slot
-pointing at its own row.  The folds (`append`, `append_word`, `_new_class`,
-`first_letters`) run on row bases, test a miss with `< 0` and divide by n
-once when they return; every public method takes and returns node ids.
+pointing at its own row.  The folds (`append`, `append_word`, `_new_class`)
+run on row bases, test a miss with `< 0` and divide by n once when they
+return; every public method takes and returns node ids.
 Row bases are the shared int objects of `_bases`, so a slot costs one
 pointer.  A node keeps its states in sorted order as two fields: `_pre`, a
 tuple of the prefix row bases (again the `_bases` objects), and `_let`,
@@ -49,6 +49,15 @@ Complete class sets per Nielsen type come from extending the complete sets
 one level below (every class has a representative ending in any class with
 positive count, because braid moves carry an entry to the last slot within
 its conjugacy class).
+
+`_new_class` is the one recursion: a closure that meets an unbuilt prefix
+class builds it first, so it nests once per missing lower class, not once
+per letter.  At Python's default limit of 1,000, a cold `class_of` of a
+random 300-letter sym:3 tuple runs into the 2M-node cap at a class of 248
+letters with `_new_class` nested 22 deep: the node cap, not the stack, is
+the wall, and the package leaves the recursion limit alone.  `classes_at`
+and `_conj_of`, which go one step per level or per letter, walk their
+chains down to a memoised entry and back up in loops.
 
 A row costs 8 * n bytes whatever its fill.  Lattices built level by level
 fill most of it (65% for alt:4 up to (0, 36, 36, 0), 80% for sym:3 up to
@@ -85,8 +94,6 @@ level's classes whose subgroup contains the word's.
 
 from __future__ import annotations
 
-import sys
-
 from .braid import Caps, DEFAULT_CAPS, OrbitClass, _check_entries
 from .errors import CapExceeded
 from .groups import FiniteGroup, SubgroupMask, closure_bits
@@ -94,9 +101,6 @@ from .groups import FiniteGroup, SubgroupMask, closure_bits
 
 class OrbitLattice:
     def __init__(self, G: FiniteGroup):
-        # identification recurses one level per letter; allow long words
-        if sys.getrecursionlimit() < 10_000:
-            sys.setrecursionlimit(10_000)
         # keep G's tables, not G: the group holds its lattice (`get_lattice`),
         # so a reference back would keep a dropped group alive until the
         # cyclic collector runs
@@ -127,7 +131,6 @@ class OrbitLattice:
         self._empty_row = [-1] * n
         self._classes_at: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._sub_memo: dict[tuple[int, int], int] = {}
-        self._first_letters: dict[int, int] = {}
         # stabiliser append maps: word -> {node: node + word}, and
         # (word, level) -> (domain classes, their images)
         self._shifts: dict[tuple[int, ...], dict[int, int]] = {}
@@ -165,6 +168,7 @@ class OrbitLattice:
         self._sub.append(1)  # {identity}
         self._level_id.append(0)
         self._canon.append(empty)
+        self._classes_at[zero] = (0,)
         self.limit_new_nodes(DEFAULT_CAPS.lattice_nodes)
 
     # -- accessors ---------------------------------------------------------
@@ -408,12 +412,17 @@ class OrbitLattice:
 
         A missing entry is found through the node's first state (c, a): the
         conjugate is the class of rep(c^s) + (a^s), built (with its orbit)
-        if need be.
+        if need be, down the chain of first states to a known conjugate.
         """
+        n = self._n
+        chain = []
         t = cmap[x]
-        if t < 0:
-            a = fs[self._let[x][0]]
-            c = self._conj_of(fs, cmap, self._pre[x][0] // self._n)
+        while t < 0:
+            chain.append(x)
+            x = self._pre[x][0] // n
+            t = cmap[x]
+        for x in reversed(chain):
+            c, a = t, fs[self._let[x][0]]
             t = self._next[c + a]
             if t < 0:
                 t = self._new_class(c, a, True)
@@ -497,51 +506,42 @@ class OrbitLattice:
         return node if node >= 0 else self.append_word(0, v)
 
     def classes_at(self, nu: tuple[int, ...]) -> tuple[int, ...]:
-        """Complete class set at a Nielsen level, sorted by canonical rep."""
+        """Complete class set at a Nielsen level, sorted by canonical rep.
+
+        The set at nu extends the one at nu - e_p by the members of class p,
+        the first class nu counts; each level of that chain is memoised.
+        """
         nu = tuple(nu)
         if len(nu) != self._nclasses:
             raise ValueError(f"level has {len(nu)} entries, group has {self._nclasses} classes")
-        hit = self._classes_at.get(nu)
+        memo = self._classes_at
+        hit = memo.get(nu)
         if hit is not None:
             return hit
-        pivot = -1
-        for i, c in enumerate(nu):
-            if c < 0:
-                raise ValueError("negative Nielsen count")
-            if c > 0 and pivot < 0:
-                pivot = i
-        if pivot < 0:
-            result: tuple[int, ...] = (0,)
-        else:
-            below = self.classes_at(nu[:pivot] + (nu[pivot] - 1,) + nu[pivot + 1 :])
-            # a level is closed under conjugation, so its builds transport
-            # (when G is not abelian)
-            n, nxt, members = self._n, self._next, self._members[pivot]
-            orbit = bool(self._gens)
+        if any(c < 0 for c in nu):
+            raise ValueError("negative Nielsen count")
+        chain = []
+        while hit is None:
+            pivot = next(i for i, c in enumerate(nu) if c)
+            chain.append((nu, pivot))
+            nu = nu[:pivot] + (nu[pivot] - 1,) + nu[pivot + 1 :]
+            hit = memo.get(nu)
+        # a level is closed under conjugation, so its builds transport (when
+        # G is not abelian)
+        n, nxt, canon = self._n, self._next, self._canon
+        orbit = bool(self._gens)
+        for nu, pivot in reversed(chain):
+            members = self._members[pivot]
             found = set()
-            for c in below:
+            for c in hit:
                 base = c * n
                 for g in members:
-                    hit = nxt[base + g]
-                    if hit < 0:
-                        hit = self._new_class(base, g, orbit)
-                    found.add(hit // n)
-            result = tuple(sorted(found, key=lambda nid: self._canon[nid]))
-        self._classes_at[nu] = result
-        return result
-
-    def first_letters(self, node: int) -> int:
-        """Bitmask of elements that begin some member of the class."""
-        hit = self._first_letters.get(node)
-        if hit is not None:
-            return hit
-        n = self._n
-        bits = 0
-        for c, a in zip(self._pre[node], self._let[node]):
-            # a state on row 0 extends the empty class, so its letter is a
-            bits |= (1 << a) if c == 0 else self.first_letters(c // n)
-        self._first_letters[node] = bits
-        return bits
+                    t = nxt[base + g]
+                    if t < 0:
+                        t = self._new_class(base, g, orbit)
+                    found.add(t // n)
+            hit = memo[nu] = tuple(sorted(found, key=canon.__getitem__))
+        return hit
 
 
 def get_lattice(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> OrbitLattice:

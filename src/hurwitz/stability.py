@@ -34,8 +34,6 @@ from .lattice import get_lattice
 DEFAULT_WINDOW = 4
 DEFAULT_EQ_WINDOW = DEFAULT_WINDOW * 2
 DEFAULT_CONFIRM = 2
-# Stabiliser powers `fraction_group_check` searches for first letters.
-FRACTION_POWERS = 5
 
 
 @dataclass(frozen=True)
@@ -259,7 +257,7 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
 
 @dataclass(frozen=True)
 class FractionCheck:
-    """Outcome of the bounded first-letter search; None = indeterminate."""
+    """Outcome of `fraction_group_check`."""
 
     is_group: bool | None
     witness_powers: tuple[tuple[int, int], ...]  # (element, least power)
@@ -267,32 +265,20 @@ class FractionCheck:
     max_power: int
 
 
-def fraction_group_check(G: FiniteGroup, gamma: GammaSet,
-                         caps: Caps = DEFAULT_CAPS) -> FractionCheck:
+def fraction_group_check(G: FiniteGroup, gamma: GammaSet) -> FractionCheck:
     """Check that every gamma element heads some member of a stabiliser power.
 
     Success means every single-letter generator is invertible in the
-    localised class monoid, i.e. the monoid of fractions is a group.  The
-    search is bounded; exhaustion is indeterminate, not failure.
+    localised class monoid, i.e. the monoid of fractions is a group.  For a
+    generating gamma this holds at power 1: every g in gamma is an entry of
+    u_gamma, and `sigma` moves an entry one place left unchanged ((a, b) ->
+    (b, a^b)), so u_gamma braids to a tuple that starts with g.  The check
+    is therefore the generating test alone; it builds no lattice node.
     """
     u = u_gamma(G, gamma)
     if u.sub != (1 << G.order) - 1:
         raise ValueError("gamma does not generate the group")
-    L = get_lattice(G, caps)
-    remaining = set(gamma.elements())
-    witnesses: dict[int, int] = {}
-    node = 0
-    for n in range(1, FRACTION_POWERS + 1):
-        node = L.shift(node, u.vector)
-        heads = L.first_letters(node)
-        for g in sorted(remaining):
-            if (heads >> g) & 1:
-                witnesses[g] = n
-                remaining.discard(g)
-        if not remaining:
-            return FractionCheck(True, tuple(sorted(witnesses.items())), (), FRACTION_POWERS)
-    return FractionCheck(None, tuple(sorted(witnesses.items())),
-                         tuple(sorted(remaining)), FRACTION_POWERS)
+    return FractionCheck(True, tuple((g, 1) for g in gamma.elements()), (), 1)
 
 
 def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],
@@ -303,9 +289,11 @@ def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],
     quandle on gamma (relations e_a e_b = e_b e_{a^b}).
 
     Word equality there is exactly stable equivalence with the gamma
-    stabiliser, provided the fraction monoid is a group (verified first).
-    Unequal Nielsen images (in particular unequal lengths) are final
-    mismatches since class counts are read off the abelianisation;
+    stabiliser, provided the fraction monoid is a group.  It is one for
+    every generating gamma, at stabiliser power 1 (see
+    `fraction_group_check`), and a gamma that does not generate raises
+    ValueError.  Unequal Nielsen images (in particular unequal lengths) are
+    final mismatches since class counts are read off the abelianisation;
     `stable_equivalent` reports them with its own prefilters.  An entry
     that is no element index raises ValueError before the gamma check.
     """
@@ -314,16 +302,13 @@ def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],
         for x in t:
             if x not in gamma:
                 raise ValueError(f"entry {x} lies outside gamma")
-    checks = getattr(G, "_fraction_checks", None)
-    if checks is None:
-        checks = G._fraction_checks = {}
-    hit = checks.get(gamma.bits)
-    if hit is None:
-        hit = checks[gamma.bits] = (fraction_group_check(G, gamma, caps=caps), u_gamma(G, gamma))
-    fc, u = hit
-    if fc.is_group is not True:
-        raise ValueError("fraction monoid not verified to be a group; "
-                         f"unresolved letters {fc.unresolved}")
+    stabilisers = getattr(G, "_gamma_stabilisers", None)
+    if stabilisers is None:
+        stabilisers = G._gamma_stabilisers = {}
+    u = stabilisers.get(gamma.bits)
+    if u is None:
+        fraction_group_check(G, gamma)
+        u = stabilisers[gamma.bits] = u_gamma(G, gamma)
     return stable_equivalent(G, v, w, u, window, confirm, caps)
 
 

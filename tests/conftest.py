@@ -1,11 +1,23 @@
 import functools
 import importlib.util
+import itertools
 import os
+import sys
 
 import pytest
 
 import hurwitz
-from hurwitz import build_builtin, make_gamma, sigma, sigma_inv
+from hurwitz import build_builtin, make_gamma, sigma, sigma_inv, subgroup_closure
+
+
+@pytest.fixture(autouse=True)
+def recursion_limit_is_left_alone():
+    """Fail any test after which the interpreter's recursion limit differs
+    from its value before: outcomes must not depend on a process-wide
+    setting that earlier calls changed."""
+    before = sys.getrecursionlimit()
+    yield
+    assert sys.getrecursionlimit() == before, "the recursion limit was changed"
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +77,17 @@ MALFORMED_TABLES = [
 
 def el(G, name):
     return G.index_of(name)
+
+
+def generating_gammas(G):
+    """Every union of nontrivial conjugacy classes that generates ``G``."""
+    ct = G.classes
+    full = (1 << G.order) - 1
+    for r in range(1, ct.count):
+        for cids in itertools.combinations(range(1, ct.count), r):
+            gam = make_gamma(G, [ct.members[c][0] for c in cids])
+            if subgroup_closure(G, gam.elements()).bits == full:
+                yield gam
 
 
 def two_sided_orbit(G, v, lo=0, extra=()):

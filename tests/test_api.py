@@ -1,5 +1,8 @@
-"""The public surface: every name and parameter has a caller in the package,
-the CLI or the benchmark.  A new one is added here on purpose."""
+"""The public surface, pinned: a new name or parameter is added here on purpose.
+
+Most names have a caller in the package, the CLI or the benchmark.
+`adj_word_equal`, `factor_witness`, `monoid_act` and `fraction_group_check`
+are called only by the tests."""
 
 import dataclasses
 import inspect
@@ -11,6 +14,7 @@ from hurwitz import (
     Stabilizer,
     find_stability_bound,
     format_tuple,
+    fraction_group_check,
     h2_order,
     h2_structure,
     marked_nielsen,
@@ -40,6 +44,7 @@ PARAMETERS = {
     orbit_members: ["G", "v", "max_states"],
     marked_nielsen: ["G", "mv"],
     find_stability_bound: ["G", "gamma", "nu0", "window", "confirm", "caps"],
+    fraction_group_check: ["G", "gamma"],
     h2_order: ["G", "gamma", "window", "confirm", "caps"],
     h2_structure: ["G", "gamma", "window", "confirm", "caps"],
 }

@@ -208,6 +208,19 @@ def test_brute_paths_reject_entries_outside_the_group(s3, bad):
         braid_equivalent(s3, bad, bad, method="direct")
 
 
+@pytest.mark.parametrize("bad", [(1, -1), (1, 9), (1, True), (1, 1.0)])
+@pytest.mark.parametrize("helper", [
+    evaluate, nielsen, generated_subgroup,
+    functools.partial(sigma, i=1), functools.partial(sigma_inv, i=1),
+], ids=["evaluate", "nielsen", "generated_subgroup", "sigma", "sigma_inv"])
+def test_public_helpers_reject_entries_outside_the_group(s3, helper, bad):
+    # on (1, -1) each read entry 5 by negative indexing: evaluate gave 4,
+    # nielsen (0, 2, 0), sigma (-1, 2); evaluate(s3, (1, 9)) raised a bare
+    # IndexError
+    with pytest.raises(ValueError, match=re.escape(f"entry {bad[1]!r} at position 1")):
+        helper(s3, v=bad)
+
+
 # -- equivalence ---------------------------------------------------------------
 
 

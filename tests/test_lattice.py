@@ -1,8 +1,11 @@
 import gc
 import hashlib
 import itertools
+import json
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -25,7 +28,7 @@ from hurwitz import (
     u_gamma,
 )
 from hurwitz.lattice import OrbitLattice, get_lattice
-from conftest import el
+from conftest import cli_env, el, generating_gammas
 
 
 def test_lattice_matches_raw_bfs_exhaustively(s3):
@@ -88,15 +91,63 @@ def test_classes_at_empty_level(s3):
     assert L.size(nodes[0]) == 1
 
 
-def test_first_letters_match_raw_orbits(s3):
-    L = get_lattice(s3)
-    rng = random.Random(2)
-    for _ in range(40):
-        v = tuple(rng.randrange(6) for _ in range(rng.randrange(1, 4)))
-        node = L.class_of(v)
-        raw_heads = {m[0] for m in orbit_members(s3, v)}
-        bits = L.first_letters(node)
-        assert {x for x in range(6) if (bits >> x) & 1} == raw_heads
+def test_every_gamma_element_heads_a_member_of_u_gamma(s3, d4, a4, s4, q8):
+    # the lemma `fraction_group_check` rests on: u_gamma lists every g in
+    # gamma, and sigma moves an entry one place left unchanged
+    for G, reps, size in ((s3, ["(12)"], 240), (d4, ["s", "sr"], 8960)):
+        gam = make_gamma(G, [el(G, x) for x in reps])
+        members = orbit_members(G, u_gamma(G, gam).vector)
+        assert len(members) == size
+        assert {m[0] for m in members} == set(gam.elements())
+    for G in (s3, a4, s4, q8):
+        L = OrbitLattice(G)
+        for gam in generating_gammas(G):
+            u = u_gamma(G, gam).vector
+            for g in gam.elements():
+                v = u
+                for i in range(u.index(g), 0, -1):
+                    v = sigma(G, i, v)
+                assert v[0] == g
+                # a sym:4 stabiliser of more than 30 letters takes 7,145 to
+                # 764,105 nodes to identify (the last about 90 s), so the
+                # lattice check leaves those out
+                if len(u) <= 30:
+                    assert L.class_of(v) == L.class_of(u)
+
+
+DEEP_LEVELS = {
+    "classes-lattice": ("from hurwitz.cli import main; code = main(sys.argv[1:])",
+                        ["classes", "--group", "cyclic:2", "--gamma", "all-nontrivial",
+                         "--nielsen", "0,12000", "--format", "jsonl"]),
+    "classes-direct": ("from hurwitz.cli import main; code = main(sys.argv[1:])",
+                       ["classes", "--group", "cyclic:2", "--gamma", "all-nontrivial",
+                        "--nielsen", "0,1200", "--method", "direct", "--format", "jsonl"]),
+    "class-of-then-level": (
+        "from hurwitz import build_builtin\n"
+        "from hurwitz.lattice import OrbitLattice\n"
+        "G = build_builtin('sym:3')\n"
+        "L = OrbitLattice(G)\n"
+        "L.class_of((G.index_of('(12)'),) * 1500)\n"
+        "print(len(L.classes_at((0, 1500, 0))), L.node_count())\n"
+        "code = 0", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_LEVELS))
+def test_deep_levels_run_at_the_default_recursion_limit(case):
+    # a fresh process, at Python's default limit before and after the run
+    body, argv = DEEP_LEVELS[case]
+    program = ("import sys\nassert sys.getrecursionlimit() == 1000\n" + body +
+               "\nprint('limit', sys.getrecursionlimit())\nsys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", program, *argv],
+                          capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    *lines, limit = proc.stdout.strip().splitlines()
+    assert limit == "limit 1000"
+    if case == "class-of-then-level":
+        assert lines == ["6 8997"]
+    else:
+        assert json.loads(lines[-1])["total_classes"] == 1
 
 
 def test_lattice_rebuild_is_deterministic(s3):

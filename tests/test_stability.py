@@ -6,6 +6,7 @@ import pytest
 
 from hurwitz import (
     FiberSpec,
+    FractionCheck,
     braid_equivalent,
     build_builtin,
     enumerate_classes,
@@ -24,7 +25,7 @@ from hurwitz import (
     u_gamma,
 )
 from hurwitz.lattice import OrbitLattice, get_lattice
-from conftest import el
+from conftest import el, generating_gammas
 
 
 # -- the gamma stabiliser --------------------------------------------------------
@@ -444,6 +445,19 @@ def test_fraction_check_s3(s3, s3_transpositions, s3_all):
         assert fc.is_group is True
         assert all(n >= 1 for _, n in fc.witness_powers)
         assert {g for g, _ in fc.witness_powers} == set(gam.elements())
+
+
+@pytest.mark.parametrize("name", ["sym:3", "alt:4", "sym:4", "dihedral:4", "quaternion:8"])
+def test_fraction_check_is_power_one_and_builds_nothing(name):
+    G = build_builtin(name)
+    L = get_lattice(G)
+    before = L.node_count()
+    gammas = list(generating_gammas(G))
+    assert gammas
+    for gam in gammas:
+        fc = fraction_group_check(G, gam)
+        assert fc == FractionCheck(True, tuple((g, 1) for g in gam.elements()), (), 1)
+    assert L.node_count() == before
 
 
 def test_fraction_check_requires_generating(s3):
