@@ -26,6 +26,8 @@ DEFAULT_CONFIGS = [
     "cyclic:2xcyclic:2:all-nontrivial",
     "dihedral:4:all-nontrivial",
     "quaternion:8:all-nontrivial",
+    "sym:4:(1234)",
+    "alt:4:(123),(132)",
 ]
 
 

@@ -71,7 +71,11 @@ class X map to the states (c^s, a^s) of X^s, which has X's size and level.
 `classes_at` builds by this *transport*.  When one of its builds closes a
 class, the rest of the class's orbit under conjugation by the non-central
 elements of a generating set is built from it without a closure, and the
-closure passes the same flag down to the builds nested in it.  Only
+closure passes the same flag down to the builds nested in it.  Each
+conjugate is added as soon as its states are mapped, one class at a time
+through the same helper as a closed class, so the lattice is consistent
+after every class and a cap error leaves the classes added before it, each
+one complete.  Only
 `classes_at` transports: a level is closed under conjugation and the closure
 is equivariant, so every conjugate transport builds would have been built by
 the same request anyway; the node set is that of closing every class, only
@@ -269,31 +273,28 @@ class OrbitLattice:
         base_level = self.level(node)
         cid = self._class_of[g]
         level = base_level[:cid] + (base_level[cid] + 1,) + base_level[cid + 1 :]
-        # everything that can raise comes before the first append, so that
-        # the parallel node lists stay in step
+        ev = self._mul[self._ev[node]][g]
+        sub = self._subgroup_with(self._sub[node], g)
         if orbit:
-            return self._add_orbit(states, self._mul[self._ev[node]][g],
-                                   self._subgroup_with(self._sub[node], g), level)
+            return self._add_orbit(states, ev, sub, level)
+        return self._add_node(states, ev, sub, level)
+
+    def _add_node(self, states: list[int], ev: int, sub: int, level: tuple[int, ...]) -> int:
+        """Add the class with the given sorted states; return its row base.
+
+        The one place a class is added.  Everything that can raise (the cap
+        here, the subgroup and level in the caller) comes before the first
+        append, so that the parallel node lists stay in step.
+        """
+        n = self._n
         nid = len(self._size)
         if nid >= self.max_nodes:
             raise CapExceeded(f"class lattice exceeds node cap at level {level}",
                               nid - self._cap_base, "new nodes")
-        ev = self._mul[self._ev[node]][g]
-        sub = self._subgroup_with(self._sub[node], g)
         lid = self._level_index(level)
         mine = nid * n
         for cmap in self._conj:
             cmap.append(-1)
-        self._store(states, ev, sub, lid, mine)
-        # every state of the class is itself a one-letter extension landing here
-        for p in states:
-            nxt[p] = mine
-        return mine
-
-    def _store(self, states: list[int], ev: int, sub: int, lid: int, mine: int) -> None:
-        """Append the node with row base ``mine`` and the given sorted states;
-        the caller fills the states' slots."""
-        n = self._n
         # plain loops: a comprehension would make n a closure cell
         bases, size, canon, letters = self._bases, self._size, self._canon, self._letters
         total = 0
@@ -318,92 +319,56 @@ class OrbitLattice:
         self._sub.append(sub)
         self._level_id.append(lid)
         self._next += self._empty_row
+        # every state of the class is itself a one-letter extension landing here
+        nxt = self._next
+        for p in states:
+            nxt[p] = mine
+        return mine
 
     def _add_orbit(self, states: list[int], ev: int, sub: int, level: tuple[int, ...]) -> int:
-        """Append the class with sorted ``states`` and every unbuilt class of
+        """Add the class with sorted ``states``, then every unbuilt class of
         its conjugation orbit, found by transport; return the first's row base.
 
-        Pending classes get the row bases they will have, from the current
-        node count up, written into their states' slots: one slot read tells
-        a built, a pending and an unseen conjugate apart.  A build of a
-        missing prefix conjugate moves the node count, so the search starts
-        over after one.  The batch is appended whole or not at all: a cap
-        error puts -1 back in its slots.
+        A breadth-first search over the orbit.  A member whose conjugate is
+        unknown reads the conjugate's slot through its first state; if that
+        class is unbuilt, the member's states are mapped and the conjugate
+        is added at once.  Built conjugates are searched too, so an orbit
+        left partial by `class_of` is finished here.  Each class is complete
+        when added: a cap error leaves the classes added before it, as the
+        closure path leaves the prefix classes it built.
         """
         n = self._n
         nxt = self._next
-        size = self._size
-        gens, conj = self._gens, self._conj
+        pre_of, let_of = self._pre, self._let
         conj_of = self._conj_of
-        while True:
-            nid = len(size)
-            top = nid * n
-            # per pending class: its states, its row base (the one int object
-            # that `_bases`, the slots and the maps share), ev and subgroup
-            batch, mines, evs, subs = [states], [top], [ev], [sub]
-            cols = [[] for _ in gens]  # per generator, the pending classes' conjugates
-            for p in states:
-                nxt[p] = top
-            members = [top]
-            seen = {top}
-            kept = False
-            try:
-                for m in members:
-                    pending = m >= top
-                    if pending:
-                        src = batch[m // n - nid]
-                    else:
-                        x = m // n
-                        src = [c + a for c, a in zip(self._pre[x], self._let[x])]
-                    a = src[0] % n
-                    c = src[0] // n
-                    for fs, cmap, col in zip(gens, conj, cols):
-                        t = -1 if pending else cmap[x]
-                        if t < 0:
-                            # the conjugate holds the state (c^s, a^s)
-                            cs = cmap[c]
-                            if cs < 0:
-                                cs = conj_of(fs, cmap, c)
-                            t = nxt[cs + fs[a]]
-                            if t < 0:
-                                image = []
-                                for p in src:
-                                    q = cmap[p // n]
-                                    if q < 0:
-                                        q = conj_of(fs, cmap, p // n)
-                                    image.append(q + fs[p % n])
-                                image.sort()
-                                t = (nid + len(batch)) * n
-                                for p in image:
-                                    nxt[p] = t
-                                batch.append(image)
-                                mines.append(t)
-                                evs.append(fs[evs[m // n - nid] if pending else self._ev[x]])
-                                subs.append(self._subgroup_with(self._sub[cs // n], fs[a]))
-                            if not pending and t < top:
-                                cmap[x] = t
-                        if pending:
-                            col.append(t)
-                        if t not in seen:
-                            seen.add(t)
-                            members.append(t)
-                if len(size) == nid:
-                    if nid + len(batch) > self.max_nodes:
-                        raise CapExceeded(f"class lattice exceeds node cap at level {level}",
-                                          nid - self._cap_base, "new nodes")
-                    kept = True
-            finally:
-                if not kept:
-                    for image in batch:
-                        for p in image:
-                            nxt[p] = -1
-            if kept:
-                break
-        lid = self._level_index(level)
-        for k, image in enumerate(batch):
-            self._store(image, evs[k], subs[k], lid, mines[k])
-        for cmap, col in zip(conj, cols):
-            cmap += col
+        top = self._add_node(states, ev, sub, level)
+        members = [top]
+        seen = {top}
+        for m in members:
+            x = m // n
+            for fs, cmap in zip(self._gens, self._conj):
+                t = cmap[x]
+                if t < 0:
+                    # the conjugate holds the state (c^s, a^s)
+                    c, a = pre_of[x][0] // n, let_of[x][0]
+                    cs = cmap[c]
+                    if cs < 0:
+                        cs = conj_of(fs, cmap, c)
+                    t = nxt[cs + fs[a]]
+                    if t < 0:
+                        image = []
+                        for q, b in zip(pre_of[x], let_of[x]):
+                            qs = cmap[q // n]
+                            if qs < 0:
+                                qs = conj_of(fs, cmap, q // n)
+                            image.append(qs + fs[b])
+                        image.sort()
+                        t = self._add_node(image, fs[self._ev[x]],
+                                           self._subgroup_with(self._sub[cs // n], fs[a]), level)
+                    cmap[x] = t
+                if t not in seen:
+                    seen.add(t)
+                    members.append(t)
         return top
 
     def _conj_of(self, fs: tuple[int, ...], cmap: list[int], x: int) -> int:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from hurwitz import (
     StabilityReport,
     abelian_invariant_factors,
     build_builtin,
+    build_from_table,
     find_stability_bound,
     get_lattice,
     h2_order,
@@ -183,6 +185,50 @@ def test_alt4_torsor_matches_sl23_lift(a4, a4_three_cycles, a4_torsor):
     assert {lift.of(x.cls.canonical) for x in els} == {oracles.IDENTITY, minus_one}
 
 
+# -- two more nontrivial invariants: sym:4 (1234) and alt:4 with both 3-cycles ---
+
+
+@pytest.fixture(scope="module")
+def a4_pair(a4):
+    return make_gamma(a4, [a4.index_of("(123)"), a4.index_of("(132)")])
+
+
+def test_h2_structure_sym4_four_cycles_is_z2(s4):
+    rep = h2_structure(s4, make_gamma(s4, [s4.index_of("(1234)")]), window=2)
+    assert rep.order == 2 and rep.structure == (2,)
+    assert rep.stable_level == (0, 0, 0, 0, 24)
+    assert rep.cross_checks == (((0, 0, 0, 0, 48), 24),)
+    assert rep.commutator_order == 12
+    assert len(rep.slice_counts) == 12 and all(c == 2 for _, c in rep.slice_counts)
+
+
+def test_h2_structure_alt4_both_three_cycle_classes_is_z2(a4, a4_pair):
+    rep = h2_structure(a4, a4_pair, window=2)
+    assert rep.order == 2 and rep.structure == (2,)
+    assert rep.stable_level == (0, 12, 12, 0)
+    assert rep.cross_checks == (((0, 24, 24, 0), 8),)
+    assert rep.commutator_order == 4
+    assert rep.slice_counts == ((0, 2), (3, 2), (8, 2), (11, 2))
+
+
+def test_alt4_pair_slices_are_split_by_the_sl23_lift(a4, a4_pair):
+    # the two classes of each evaluation slice at the stable level have the
+    # two lifts to SL(2,3) of that evaluation, which differ by the central -1
+    oracles = bench_oracles()
+    lift = oracles.LiftingInvariant(a4.names)
+    minus_one = (2, 0, 0, 2)
+    rep = h2_order(a4, a4_pair, window=2)
+    L = get_lattice(a4)
+    full = a4.full_mask().bits
+    slices = {}
+    for x in L.classes_at(rep.stable_level):
+        if L.sub_bits(x) == full:
+            slices.setdefault(L.ev(x), []).append(lift.of(L.canonical(x)))
+    assert tuple(sorted((ev, len(values)) for ev, values in slices.items())) == rep.slice_counts
+    for first, second in slices.values():
+        assert second == oracles.mat_mul(first, minus_one)
+
+
 def test_torsor_compose_without_a_match_raises(a4_torsor):
     ctx = dataclasses.replace(a4_torsor, _shifted={})
     with pytest.raises(HomologyError, match="not uniquely defined"):
@@ -297,3 +343,78 @@ def test_complete_invariant_at_stable_levels(s3, s3_all, s3_transpositions):
                 by_ev[L.ev(node)] += 1
             assert all(c == rep.order for c in by_ev.values())
             assert len(by_ev) == rep.commutator_order
+
+
+# -- relabelling -----------------------------------------------------------------
+
+
+def relabelled(G, rng):
+    """``G`` rebuilt from its table with the elements renumbered at random,
+    the identity kept at index 0; every element keeps its name."""
+    n = G.order
+    p = [0] + rng.sample(range(1, n), n - 1)
+    mul = [[0] * n for _ in range(n)]
+    names = [""] * n
+    for i in range(n):
+        names[p[i]] = G.names[i]
+        for j in range(n):
+            mul[p[i]][p[j]] = p[G.mul[i][j]]
+    return build_from_table({"order": n, "mul": mul, "names": names})
+
+
+def named_level(G, nu):
+    """A level read as class member names -> count, which a relabelling keeps."""
+    members = G.classes.members
+    return {frozenset(G.names[x] for x in members[c]): k for c, k in enumerate(nu) if k}
+
+
+def level_of(G, named):
+    members = G.classes.members
+    return tuple(named.get(frozenset(G.names[x] for x in m), 0) for m in members)
+
+
+def h2_answers(G, gamma_names):
+    gamma = make_gamma(G, gamma_names if gamma_names == "all-nontrivial"
+                       else [G.index_of(x) for x in gamma_names])
+    report = find_stability_bound(G, gamma, None, 2)
+    rep = h2_structure(G, gamma, window=2)
+    L = get_lattice(G)
+    return (rep.order, rep.structure, rep.bound, rep.confident,
+            [(lv.count, lv.generating_count) for lv in report.levels],
+            sorted(c for _, c in rep.slice_counts),
+            named_level(G, rep.stable_level),
+            sorted(L.size(x) for x in L.classes_at(rep.stable_level)),
+            L.node_count())
+
+
+def classes_answers(G, named):
+    L = OrbitLattice(G)
+    nodes = L.classes_at(level_of(G, named))
+    full = G.full_mask().bits
+    return (len(nodes), sum(L.sub_bits(x) == full for x in nodes),
+            sorted(L.size(x) for x in nodes), L.node_count())
+
+
+@pytest.mark.parametrize("spec, kind, arg", [
+    ("sym:3", "h2", "all-nontrivial"),
+    ("alt:4", "h2", ["(123)"]),
+    ("sym:4", "h2", ["(1234)"]),
+    ("quaternion:8", "classes", (0, 2, 2, 2, 2)),
+    ("dihedral:4", "classes", (0, 1, 2, 2, 2)),
+])
+def test_answers_do_not_depend_on_element_labels(spec, kind, arg):
+    # the same group under four random numberings of its elements: gamma and
+    # levels are carried across by element names, and every answer (orders,
+    # counts, class sizes, node counts) is that of the builtin numbering
+    G = build_builtin(spec)
+    if kind == "h2":
+        want = h2_answers(G, arg)
+    else:
+        arg = named_level(G, arg)
+        want = classes_answers(G, arg)
+    rng = random.Random(spec)
+    for _ in range(4):
+        R = relabelled(G, rng)
+        assert R.mul != G.mul
+        got = h2_answers(R, arg) if kind == "h2" else classes_answers(R, arg)
+        assert got == want

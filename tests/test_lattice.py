@@ -657,10 +657,37 @@ def test_classes_at_after_class_of_history_matches_a_fresh_lattice(monkeypatch):
     assert counts["built"] > 0
 
 
+def test_classes_at_closes_one_class_per_conjugation_orbit(monkeypatch):
+    # after a class_of history has left orbits partly built, each closure a
+    # classes_at makes is transported across its whole orbit, built members
+    # included, so no two closed classes are conjugate
+    closed = []
+    inner = OrbitLattice._add_orbit
+
+    def recording(self, *args):
+        top = inner(self, *args)
+        closed.append(top // self._n)
+        return top
+
+    monkeypatch.setattr(OrbitLattice, "_add_orbit", recording)
+    for spec, nu in (("sym:3", (0, 5, 5)), ("alt:4", (0, 3, 3, 0)), ("quaternion:8", (0, 2, 2, 2, 1))):
+        G = build_builtin(spec)
+        L, ref = OrbitLattice(G), closure_only(G)
+        for v in class_of_history(G, nu, 2):
+            L.class_of(v)
+        closed.clear()
+        L.classes_at(nu)
+        conj = G.conj_table
+        orbits = [frozenset(ref.class_of(tuple(conj[g][s] for g in L.canonical(x))) for s in range(G.order))
+                  for x in closed]
+        assert len(closed) > 1 and len(set(orbits)) == len(orbits)
+
+
 @pytest.mark.parametrize("history", [False, True])
-def test_cap_inside_an_orbit_batch_appends_none_of_it(history, monkeypatch):
-    # every cap short of the level fires inside an orbit batch (after a
-    # class_of history, also inside a build of a missing prefix conjugate);
+def test_cap_inside_an_orbit_stops_at_the_cap(history, monkeypatch):
+    # every cap short of the level fires inside an orbit transport (after a
+    # class_of history, also inside a build of a missing prefix conjugate),
+    # exactly at the cap: the classes added before it stay, each complete;
     # the lattice stays consistent and finishing the level gives what a
     # fresh lattice gives
     counts = count_prefix_conjugate_builds(monkeypatch)
@@ -678,19 +705,15 @@ def test_cap_inside_an_orbit_batch_appends_none_of_it(history, monkeypatch):
     L, before = start()
     L.classes_at(nu)
     needed = L.node_count() - before
-    refused_with_room = 0
     for limit in range(1, needed):
         L, before = start()
         L.limit_new_nodes(limit)
         with pytest.raises(CapExceeded) as exc:
             L.classes_at(nu)
-        assert exc.value.visited == L.node_count() - before <= limit
-        refused_with_room += L.node_count() < L.max_nodes
+        assert exc.value.visited == L.node_count() - before == limit
         assert {len(x) for x in node_lists(L)} == {L.node_count()}
         assert_memo_matches_states(L)
         L.limit_new_nodes(10**6)
         assert [node_record(L, x) for x in L.classes_at(nu)] == want
         assert L.node_count() == fresh.node_count()
-    # some batches did not fit although some of their nodes would have
-    assert refused_with_room > 0
     assert (counts["raised"] > 0) == history
