@@ -154,24 +154,35 @@ def _closure(G: FiniteGroup, start: tuple[int, ...], cap: int, lo: int = 0,
     pass both directions of each.  Each successor is tested against the
     visited set as soon as it is made, ``sigma`` positions first, then the
     extra moves.  Stops as soon as ``target`` is added; raises CapExceeded
-    rather than hold more than ``cap`` tuples, and ValueError if ``start``
-    holds an entry that is no element index.
+    rather than hold more than ``cap`` tuples (so at once when ``cap < 1``),
+    and ValueError if ``start`` holds an entry that is no element index.
     """
     _check_entries(start, G.order)
+    if cap < 1:
+        raise _orbit_cap_exceeded(G, start, 0)
     conj = G.conj_table
     # sigma at position i + 1 rewrites the entries at i and j = i + 1
-    spots = [(i, i + 1, i + 2) for i in range(lo, len(start) - 1)]
+    spots = [(i, i + 1) for i in range(lo, len(start) - 1)]
     seen = {start}
     stack = [start]
     pop, push, add = stack.pop, stack.append, seen.add
     while stack:
         t = pop()
-        for i, j, k in spots:
-            b = t[j]
-            u = t[:i] + (b, conj[t[i]][b]) + t[k:]
+        # one list per popped tuple: each move writes its two entries into
+        # it, copies it out with tuple() and puts them back, one allocation
+        # per successor where slices and concatenation cost five
+        w = list(t)
+        for i, j in spots:
+            a = w[i]
+            b = w[j]
+            w[i] = b
+            w[j] = conj[a][b]
+            u = tuple(w)
+            w[i] = a
+            w[j] = b
             if u not in seen:
                 if len(seen) >= cap:
-                    raise CapExceeded("orbit exceeds state cap", len(seen))
+                    raise _orbit_cap_exceeded(G, start, len(seen))
                 add(u)
                 if u == target:
                     return seen
@@ -180,12 +191,17 @@ def _closure(G: FiniteGroup, start: tuple[int, ...], cap: int, lo: int = 0,
             u = move(t)
             if u not in seen:
                 if len(seen) >= cap:
-                    raise CapExceeded("orbit exceeds state cap", len(seen))
+                    raise _orbit_cap_exceeded(G, start, len(seen))
                 add(u)
                 if u == target:
                     return seen
                 push(u)
     return seen
+
+
+def _orbit_cap_exceeded(G: FiniteGroup, start: tuple[int, ...], visited: int) -> CapExceeded:
+    return CapExceeded(f"orbit of a length-{len(start)} tuple of Nielsen type "
+                       f"{nielsen(G, start)} exceeds state cap", visited)
 
 
 def orbit_members(G: FiniteGroup, v: tuple[int, ...], max_states: int | None = None) -> set[tuple[int, ...]]:
@@ -439,7 +455,7 @@ def _enumerate_direct(G: FiniteGroup, spec: FiberSpec, caps: Caps) -> list[Orbit
     for t in iter_fiber_tuples(G, spec):
         visited_tuples += 1
         if visited_tuples > caps.fiber_tuples:
-            raise CapExceeded("fiber exceeds tuple cap", visited_tuples)
+            raise CapExceeded("fiber exceeds tuple cap", visited_tuples, "tuples")
         if t in seen:
             continue
         members = orbit_members(G, t, caps.orbit_states)

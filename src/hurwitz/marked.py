@@ -175,7 +175,7 @@ def enumerate_marked_classes(G: FiniteGroup, family: ActionFamily, tail_spec: Fi
         for tail in iter_fiber_tuples(G, tail_spec):
             count += 1
             if count > caps.fiber_tuples:
-                raise CapExceeded("marked fiber exceeds tuple cap", count)
+                raise CapExceeded("marked fiber exceeds tuple cap", count, "tuples")
             full = prefix + tail
             if full in seen:
                 continue

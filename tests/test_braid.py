@@ -29,7 +29,7 @@ from hurwitz import (
     to_table_doc,
 )
 from hurwitz.braid import Caps, iter_fiber_tuples
-from conftest import el, two_sided_orbit
+from conftest import bench_oracles, el, two_sided_orbit
 
 
 def s3_tuples(G, d):
@@ -176,6 +176,15 @@ def test_orbit_members_match_two_sided_closure(s3, s4):
     for _ in range(25):
         v = tuple(rng.randrange(24) for _ in range(4))
         assert orbit_members(s4, v) == two_sided_orbit(s4, v)
+    # the benchmark's shapes, against a breadth-first search that shares no
+    # code with the package: alt:6 triples (n = 360) and sym:4 5-tuples
+    a6 = build_builtin("alt:6")
+    rng = random.Random(31)
+    for G, degree, d in ((a6, 6, 3), (s4, 4, 5)):
+        oracle = bench_oracles().TableGroup.from_permutations(G.names, degree)
+        for _ in range(3):
+            v = tuple(rng.randrange(G.order) for _ in range(d))
+            assert orbit_members(G, v) == oracle.orbit(v)
 
 
 def test_orbit_cap(s3):
@@ -183,6 +192,12 @@ def test_orbit_cap(s3):
     with pytest.raises(CapExceeded) as exc:
         orbit_members(s3, v, max_states=5)
     assert exc.value.visited == 5
+    assert str(exc.value) == (
+        "orbit of a length-6 tuple of Nielsen type (0, 5, 1) exceeds state cap (visited 5 states)")
+    # a cap of 0 holds no tuple, not even the start
+    with pytest.raises(CapExceeded) as exc:
+        orbit_members(s3, (1,), max_states=0)
+    assert exc.value.visited == 0
     size = len(orbit_members(s3, v))
     assert len(orbit_members(s3, v, max_states=size)) == size
     with pytest.raises(CapExceeded) as exc:
@@ -277,6 +292,15 @@ def test_braid_equivalent_methods_agree(s3, s4):
         for w in others[:: max(1, len(others) // 3)][:3]:
             assert not braid_equivalent(G, v, w, method="direct")
             assert not braid_equivalent(G, v, w)
+
+
+def test_direct_search_stops_at_its_target(s3):
+    # the orbit of (2, 1) holds 3 tuples and sigma reaches the target first,
+    # so a cap of 2 is room enough for the verdict but not for the orbit
+    v = (2, 1)
+    assert braid_equivalent(s3, v, sigma(s3, 1, v), "direct", Caps(orbit_states=2))
+    with pytest.raises(CapExceeded):
+        orbit_members(s3, v, 2)
 
 
 def test_lattice_verdict_matches_raw_orbits_without_subgroup_prefilter():
@@ -419,7 +443,7 @@ def test_enumerate_classes_generated_filter(s3, s3_transpositions):
 
 def test_enumerate_classes_fiber_cap(s3, s3_all):
     spec = FiberSpec(nu=(0, 3, 3), gamma=s3_all)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=re.escape("fiber exceeds tuple cap (visited 11 tuples)")):
         enumerate_classes(s3, spec, caps=Caps(fiber_tuples=10), method="direct")
 
 

@@ -1,8 +1,11 @@
 import itertools
+import re
 
 import pytest
 
 from hurwitz import (
+    CapExceeded,
+    Caps,
     FiberSpec,
     MarkedVector,
     enumerate_classes,
@@ -139,6 +142,10 @@ def test_extra_moves_generic_enumeration_matches_quotient(s3, s3_transpositions)
     classes = enumerate_marked_classes(s3, fam, spec)
     # prefixes up to swap: 6 unordered pairs with repeats = 21; tails: 3 letters
     assert len(classes) == 21 * 3
+    # the cap counts prefix-and-tail tuples: 36 prefixes x 3 tails
+    with pytest.raises(CapExceeded, match=re.escape("marked fiber exceeds tuple cap (visited 51 tuples)")):
+        enumerate_marked_classes(s3, fam, spec, caps=Caps(fiber_tuples=50))
+    assert len(enumerate_marked_classes(s3, fam, spec, caps=Caps(fiber_tuples=108))) == 21 * 3
 
 
 def test_extra_moves_orbit_matches_two_sided_closure(s3):

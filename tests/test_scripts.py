@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -68,3 +71,19 @@ def test_stability_scan_reports_a_failed_configuration_and_goes_on(capsys, argv,
     bounds = [r["bound"] for r in records if "error" not in r]
     assert bounds == [0] * len(bounds)
     assert summary == f"max bound over explored configurations: {0 if bounds else None}"
+
+
+def test_bench_raw_oracle_run_passes_its_checks():
+    # one short untraced run of the benchmark's raw-oracle workload: its
+    # package-free checks of every raw orbit and both direct fibers, through
+    # the public names the benchmark calls; an untraced run writes no file
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = os.path.join(repo_root, "bench", "out")
+    before = sorted(os.listdir(out)) if os.path.isdir(out) else None
+    cmd = [sys.executable, "bench/run.py", "--workload", "raw-oracle", "--seed", "1",
+           "--seconds", "1", "--trace", "0"]
+    proc = subprocess.run(cmd, capture_output=True, cwd=repo_root, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    result = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert (sorted(os.listdir(out)) if os.path.isdir(out) else None) == before
