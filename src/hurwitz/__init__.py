@@ -57,7 +57,6 @@ from .marked import (
     marked_nielsen,
     marked_orbit,
     monoid_act,
-    validate_extra_moves,
 )
 from .stability import (
     FractionCheck,

@@ -20,12 +20,12 @@ Orbits can be expanded by brute search over raw tuples (`orbit`,
 `enumerate_classes(..., method="direct")`), which is the reference
 implementation, or through the shared class lattice (see `lattice`), which
 reaches Nielsen types whose raw fibers are astronomically large.  Every
-brute search, here and in `marked`, runs the one kernel `_closure`, which
-follows `sigma` only: a permutation of the finite set G^d has its inverse
-among its powers, so `sigma_inv` reaches no further tuple.  The direct
-path walks each fiber with `iter_fiber_tuples`; with the evaluation
-pinned, the last entry of a tuple is forced (it is the inverse of the
-prefix's product times the evaluation), so it is computed, not searched.
+brute search runs the one kernel `_closure`, which follows `sigma` only:
+a permutation of the finite set G^d has its inverse among its powers, so
+`sigma_inv` reaches no further tuple.  The direct path walks each fiber
+with `iter_fiber_tuples`; with the evaluation pinned, the last entry of a
+tuple is forced (it is the inverse of the prefix's product times the
+evaluation), so it is computed, not searched.
 Both paths reject a tuple entry that is no element index with ValueError
 before any shortcut; the lattice path checks entries inside its lookup fold.
 """
@@ -33,7 +33,7 @@ before any shortcut; the lattice path checks entries inside its lookup fold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import CapExceeded, ParseError
 from .groups import FiniteGroup, GammaSet, SubgroupMask, subgroup_closure
@@ -58,8 +58,6 @@ DEFAULT_CAPS = Caps()
 
 # How `braid_equivalent` and `enumerate_classes` find orbits.
 METHODS = ("lattice", "direct")
-
-Move = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
 # -- moves and invariants ----------------------------------------------------
@@ -142,18 +140,14 @@ def _check_entries(v: tuple[int, ...], n: int) -> None:
                 f"entry {x!r} at position {i} of {v} is not an element index in [0, {n})")
 
 
-def _closure(G: FiniteGroup, start: tuple[int, ...], cap: int, lo: int = 0,
-             extra: tuple[Move, ...] = (), target: tuple[int, ...] | None = None,
-             ) -> set[tuple[int, ...]]:
+def _closure(G: FiniteGroup, start: tuple[int, ...], cap: int,
+             target: tuple[int, ...] | None = None) -> set[tuple[int, ...]]:
     """Raw tuples reachable from ``start``: the one brute-force orbit kernel.
 
-    Follows the forward move ``sigma`` at every position from ``lo`` on (a
-    prefix of ``lo`` entries stays fixed; ``sigma_inv`` is not needed, see
-    the module docstring) and each function in ``extra``.  Extra moves are
-    only checked by sampling, not proved to be permutations, so callers
-    pass both directions of each.  Each successor is tested against the
-    visited set as soon as it is made, ``sigma`` positions first, then the
-    extra moves.  Stops as soon as ``target`` is added; raises CapExceeded
+    Follows the forward move ``sigma`` at every position (``sigma_inv`` is
+    not needed, see the module docstring).  Each successor is tested
+    against the visited set as soon as it is made, positions left to
+    right.  Stops as soon as ``target`` is added; raises CapExceeded
     rather than hold more than ``cap`` tuples (so at once when ``cap < 1``),
     and ValueError if ``start`` holds an entry that is no element index.
     """
@@ -162,7 +156,7 @@ def _closure(G: FiniteGroup, start: tuple[int, ...], cap: int, lo: int = 0,
         raise _orbit_cap_exceeded(G, start, 0)
     conj = G.conj_table
     # sigma at position i + 1 rewrites the entries at i and j = i + 1
-    spots = [(i, i + 1) for i in range(lo, len(start) - 1)]
+    spots = [(i, i + 1) for i in range(len(start) - 1)]
     seen = {start}
     stack = [start]
     pop, push, add = stack.pop, stack.append, seen.add
@@ -180,15 +174,6 @@ def _closure(G: FiniteGroup, start: tuple[int, ...], cap: int, lo: int = 0,
             u = tuple(w)
             w[i] = a
             w[j] = b
-            if u not in seen:
-                if len(seen) >= cap:
-                    raise _orbit_cap_exceeded(G, start, len(seen))
-                add(u)
-                if u == target:
-                    return seen
-                push(u)
-        for move in extra:
-            u = move(t)
             if u not in seen:
                 if len(seen) >= cap:
                     raise _orbit_cap_exceeded(G, start, len(seen))

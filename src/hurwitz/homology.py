@@ -211,8 +211,8 @@ def h2_structure(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
     m = len(ctx.elements)
     if m != report.order:
         raise HomologyError(
-            f"identity-evaluation slice has {m} classes but the counted order "
-            f"is {report.order}")
+            f"identity-evaluation slice at level {ctx.level} has {m} classes but "
+            f"the counted order is {report.order}")
     index = {el.node: i for i, el in enumerate(ctx.elements)}
 
     def mul(a: int, b: int) -> int:
@@ -221,9 +221,11 @@ def h2_structure(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
     identity = index[ctx.base.node]
     for i in range(m):
         if mul(i, identity) != i:
-            raise HomologyError("base point is not an identity for composition")
+            raise HomologyError(
+                f"base point is not an identity for composition at level {ctx.level}")
     factors = abelian_invariant_factors(m, mul, identity)
     if prod(factors) != report.order:
         raise HomologyError(
-            f"invariant factors {factors} do not multiply to {report.order}")
+            f"invariant factors {factors} at level {ctx.level} do not multiply to "
+            f"{report.order}")
     return replace(report, structure=tuple(factors))

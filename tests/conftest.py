@@ -90,9 +90,8 @@ def generating_gammas(G):
                 yield gam
 
 
-def two_sided_orbit(G, v, lo=0, extra=()):
-    """Closure of ``v`` under sigma and sigma_inv at every position past the
-    first ``lo`` entries, and under the functions in ``extra``.
+def two_sided_orbit(G, v):
+    """Closure of ``v`` under sigma and sigma_inv at every position.
 
     An oracle for the package's forward-only kernel, built from the public
     moves alone.
@@ -101,9 +100,7 @@ def two_sided_orbit(G, v, lo=0, extra=()):
     stack = [v]
     while stack:
         t = stack.pop()
-        nxt = [move(G, i, t) for i in range(lo + 1, len(t)) for move in (sigma, sigma_inv)]
-        nxt += [move(t) for move in extra]
-        for u in nxt:
+        for u in (move(G, i, t) for i in range(1, len(t)) for move in (sigma, sigma_inv)):
             if u not in seen:
                 seen.add(u)
                 stack.append(u)

@@ -1,8 +1,4 @@
-"""The public surface, pinned: a new name or parameter is added here on purpose.
-
-Most names have a caller in the package, the CLI or the benchmark.
-`adj_word_equal`, `factor_witness`, `monoid_act` and `fraction_group_check`
-are called only by the tests."""
+"""The public surface, pinned: a new name or parameter is added here on purpose."""
 
 import dataclasses
 import inspect
@@ -10,14 +6,17 @@ import types
 
 import hurwitz
 from hurwitz import (
+    ActionFamily,
     FiberSpec,
     Stabilizer,
+    enumerate_marked_classes,
     find_stability_bound,
     format_tuple,
     fraction_group_check,
     h2_order,
     h2_structure,
     marked_nielsen,
+    marked_orbit,
     nielsen,
     orbit_members,
 )
@@ -35,7 +34,7 @@ PUBLIC = {
     "load_group", "make_gamma", "make_stabilizer", "marked_family", "marked_nielsen",
     "marked_orbit", "monoid_act", "nielsen", "orbit", "orbit_members", "parse_tuple",
     "sigma", "sigma_inv", "stable_equivalent", "subgroup_closure", "to_table_doc",
-    "torsor_compose", "torsor_group", "u_gamma", "validate_extra_moves",
+    "torsor_compose", "torsor_group", "u_gamma",
 }
 
 PARAMETERS = {
@@ -43,6 +42,8 @@ PARAMETERS = {
     format_tuple: ["G", "v"],
     orbit_members: ["G", "v", "max_states"],
     marked_nielsen: ["G", "mv"],
+    marked_orbit: ["G", "family", "mv", "caps"],
+    enumerate_marked_classes: ["G", "family", "tail_spec", "prefixes", "caps"],
     find_stability_bound: ["G", "gamma", "nu0", "window", "confirm", "caps"],
     fraction_group_check: ["G", "gamma"],
     h2_order: ["G", "gamma", "window", "confirm", "caps"],
@@ -50,6 +51,7 @@ PARAMETERS = {
 }
 
 FIELDS = {
+    ActionFamily: ["prefix_len"],
     FiberSpec: ["nu", "gamma", "ev", "generated"],
     Stabilizer: ["vector", "nu", "ev", "sub"],
 }

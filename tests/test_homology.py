@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -233,6 +234,33 @@ def test_torsor_compose_without_a_match_raises(a4_torsor):
     ctx = dataclasses.replace(a4_torsor, _shifted={})
     with pytest.raises(HomologyError, match="not uniquely defined"):
         torsor_compose(ctx, ctx.base, ctx.base)
+
+
+# each gamma has H = Z/2 at its stable level, so every fault below is caught
+NONTRIVIAL = [("alt:4", "(123)", (0, 0, 12, 0)), ("sym:4", "(1234)", (0, 0, 0, 0, 24))]
+
+
+def _other_element(original, ctx, x, y):
+    return next(el for el in ctx.elements if el is not x)
+
+
+@pytest.mark.parametrize("spec, cls, level", NONTRIVIAL, ids=["alt4", "sym4"])
+@pytest.mark.parametrize("name, fault, message", [
+    ("abelian_invariant_factors", lambda original, m, mul, e: [4],
+     "invariant factors [4] at level {} do not multiply to 2"),
+    ("torsor_compose", _other_element,
+     "base point is not an identity for composition at level {}"),
+    ("_order_report", lambda original, G, context: dataclasses.replace(
+        original(G, context), order=3),
+     "identity-evaluation slice at level {} has 2 classes but the counted order is 3"),
+], ids=["factors", "identity", "slice"])
+def test_h2_structure_errors_name_the_level(spec, cls, level, name, fault, message, monkeypatch):
+    # ``fault`` stands in for ``hurwitz.homology.<name>`` and may call it
+    original = getattr(hurwitz.homology, name)
+    monkeypatch.setattr(hurwitz.homology, name, lambda *args: fault(original, *args))
+    G = build_builtin(spec)
+    with pytest.raises(HomologyError, match=re.escape(message.format(level))):
+        h2_structure(G, make_gamma(G, [G.index_of(cls)]), window=2)
 
 
 def test_h2_structure_searches_for_its_stable_level_once(a4, a4_three_cycles, monkeypatch):

@@ -4,8 +4,6 @@ import re
 import pytest
 
 from hurwitz import (
-    CapExceeded,
-    Caps,
     FiberSpec,
     MarkedVector,
     enumerate_classes,
@@ -16,7 +14,6 @@ from hurwitz import (
     monoid_act,
     orbit,
     orbit_members,
-    validate_extra_moves,
 )
 from conftest import el, two_sided_orbit
 
@@ -105,63 +102,48 @@ def test_enumerate_marked_k0_matches_plain(s3, s3_all):
     assert [c.canonical.tail for c in marked] == [c.canonical for c in plain]
 
 
-def test_extra_moves_validation_and_closure(s3):
-    from hurwitz import ActionFamily
-
-    # a legal extra move: cyclic rotation of the two prefix slots
-    def rot(t):
-        return (t[1], t[0]) + t[2:]
-
-    fam = ActionFamily(prefix_len=2, extra_moves=((rot, rot),))
-    validate_extra_moves(s3, fam, length=2)
-    mv = MarkedVector((1, 2), (3, 4))
-    mc = marked_orbit(s3, fam, mv)
-    swapped = marked_orbit(s3, fam, MarkedVector((2, 1), (3, 4)))
-    assert mc.canonical == swapped.canonical
-
-    # a broken move: not an involution pair
-    def bad(t):
-        return (t[0],) + t[1:]
-
-    def bad_inv(t):
-        return ((t[0] + 1) % 6,) + t[1:]
-
-    fam_bad = ActionFamily(prefix_len=1, extra_moves=((bad, bad_inv),))
-    with pytest.raises(ValueError, match="inverse"):
-        validate_extra_moves(s3, fam_bad, length=2)
-
-
-def test_extra_moves_generic_enumeration_matches_quotient(s3, s3_transpositions):
-    from hurwitz import ActionFamily
-
-    def rot(t):
-        return (t[1], t[0]) + t[2:]
-
-    fam = ActionFamily(prefix_len=2, extra_moves=((rot, rot),))
-    spec = FiberSpec(nu=(0, 1, 0), gamma=s3_transpositions)
-    classes = enumerate_marked_classes(s3, fam, spec)
-    # prefixes up to swap: 6 unordered pairs with repeats = 21; tails: 3 letters
-    assert len(classes) == 21 * 3
-    # the cap counts prefix-and-tail tuples: 36 prefixes x 3 tails
-    with pytest.raises(CapExceeded, match=re.escape("marked fiber exceeds tuple cap (visited 51 tuples)")):
-        enumerate_marked_classes(s3, fam, spec, caps=Caps(fiber_tuples=50))
-    assert len(enumerate_marked_classes(s3, fam, spec, caps=Caps(fiber_tuples=108))) == 21 * 3
-
-
-def test_extra_moves_orbit_matches_two_sided_closure(s3):
-    from hurwitz import ActionFamily
-
-    # tail braid moves only (the prefix of two stays fixed by them), plus a
-    # rotation of the prefix slots
-    def rot(t):
-        return (t[1], t[0]) + t[2:]
-
-    fam = ActionFamily(prefix_len=2, extra_moves=((rot, rot),))
-    for prefix in ((1, 2), (3, 3), (4, 0)):
-        for d in (2, 3):
-            for tail in itertools.product(range(6), repeat=d):
-                full = prefix + tail
-                members = two_sided_orbit(s3, full, lo=2, extra=(rot,))
+@pytest.mark.parametrize("k", [1, 2])
+def test_marked_orbit_matches_two_sided_closure(s3, s3_all, k):
+    """Every sym:3 prefix of width k and tail of length <= 3: the marked
+    class is the prefix with the tail's orbit under both moves, and the
+    marked class list is all of G^k, in lexicographic order, times the
+    direct tail classes."""
+    prefixes = list(itertools.product(range(6), repeat=k))
+    fam = marked_family(k)
+    for d in range(4):
+        for tail in itertools.product(range(6), repeat=d):
+            members = two_sided_orbit(s3, tail)
+            for prefix in prefixes:
                 mc = marked_orbit(s3, fam, MarkedVector(prefix, tail))
                 assert mc.size == len(members)
-                assert mc.canonical.full() == min(members)
+                assert mc.canonical == MarkedVector(prefix, min(members))
+    for nu in [(0, 2, 0), (0, 1, 2), (0, 3, 0), (0, 2, 2)]:
+        spec = FiberSpec(nu=nu, gamma=s3_all)
+        tails = enumerate_classes(s3, spec, method="direct")
+        got = enumerate_marked_classes(s3, fam, spec)
+        assert [(c.canonical, c.size, c.nu) for c in got] == [
+            (MarkedVector(p, t.canonical), t.size, t.nu) for p in prefixes for t in tails]
+
+
+@pytest.mark.parametrize("bad", [99, 6, -1, True, 1.5, "1"], ids=repr)
+def test_prefix_entries_are_checked(s3, s3_all, bad):
+    """A prefix entry that is no element index is refused, not served back
+    as part of a class."""
+    msg = re.escape(f"entry {bad!r} at position 1 of ")
+    fam = marked_family(2)
+    with pytest.raises(ValueError, match=msg):
+        marked_orbit(s3, fam, MarkedVector((0, bad), (1, 2)))
+    with pytest.raises(ValueError, match=msg):
+        monoid_act(s3, fam, MarkedVector((0, bad), (1,)), (2,))
+    spec = FiberSpec(nu=(0, 2, 0), gamma=s3_all)
+    with pytest.raises(ValueError, match=msg):
+        enumerate_marked_classes(s3, fam, spec, prefixes=[(0, 1), (0, bad)])
+
+
+def test_prefix_width_is_checked(s3, s3_all):
+    fam = marked_family(2)
+    with pytest.raises(ValueError, match="width 2"):
+        marked_orbit(s3, fam, MarkedVector((0,), (1, 2)))
+    with pytest.raises(ValueError, match="width 2"):
+        enumerate_marked_classes(s3, fam, FiberSpec(nu=(0, 2, 0), gamma=s3_all),
+                                 prefixes=[(0, 1, 2)])

@@ -73,14 +73,15 @@ def test_stability_scan_reports_a_failed_configuration_and_goes_on(capsys, argv,
     assert summary == f"max bound over explored configurations: {0 if bounds else None}"
 
 
-def test_bench_raw_oracle_run_passes_its_checks():
-    # one short untraced run of the benchmark's raw-oracle workload: its
-    # package-free checks of every raw orbit and both direct fibers, through
-    # the public names the benchmark calls; an untraced run writes no file
+@pytest.mark.parametrize("workload", ["survey-cold", "query-warm", "raw-oracle"])
+def test_bench_run_passes_its_checks(workload):
+    # one short untraced run of a benchmark workload: its package-free checks
+    # of every answer, through the public names the benchmark calls; an
+    # untraced run writes no file
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     out = os.path.join(repo_root, "bench", "out")
     before = sorted(os.listdir(out)) if os.path.isdir(out) else None
-    cmd = [sys.executable, "bench/run.py", "--workload", "raw-oracle", "--seed", "1",
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
            "--seconds", "1", "--trace", "0"]
     proc = subprocess.run(cmd, capture_output=True, cwd=repo_root, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
