@@ -59,7 +59,6 @@ from .marked import (
     monoid_act,
 )
 from .stability import (
-    FractionCheck,
     StabilityLevel,
     StabilityReport,
     StableEqResult,
@@ -67,7 +66,6 @@ from .stability import (
     adj_word_equal,
     factor_witness,
     find_stability_bound,
-    fraction_group_check,
     make_stabilizer,
     stable_equivalent,
     u_gamma,

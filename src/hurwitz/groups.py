@@ -19,7 +19,6 @@ k, -k).  Direct products pack (a, b) as ``a * |G2| + b``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations, repeat
@@ -104,7 +103,6 @@ class FiniteGroup:
         self._classes: ConjClassTable | None = None
         self._orders: list[int] | None = None
         self._commutator: SubgroupMask | None = None
-        self._digest: str | None = None
 
     # -- basic arithmetic ------------------------------------------------
 
@@ -161,18 +159,6 @@ class FiniteGroup:
                 out.append(k)
             self._orders = out
         return self._orders
-
-    @property
-    def digest(self) -> str:
-        """SHA-256 of the multiplication table; names the table in keys."""
-        if self._digest is None:
-            h = hashlib.sha256()
-            h.update(str(self.order).encode())
-            for row in self.mul:
-                h.update(b"|")
-                h.update(",".join(map(str, row)).encode())
-            self._digest = h.hexdigest()
-        return self._digest
 
     def full_mask(self) -> SubgroupMask:
         return SubgroupMask((1 << self.order) - 1, self.order)
@@ -338,6 +324,8 @@ def make_gamma(G: FiniteGroup, class_reps: Iterable[int] | str) -> GammaSet:
         if not reps:
             raise ValueError("empty class list for gamma")
         for r in reps:
+            if type(r) is not int:
+                raise ValueError(f"gamma representative {r!r} is not an element index")
             if r == 0:
                 raise ValueError("identity cannot be a gamma representative")
             if not (0 <= r < G.order):

@@ -107,9 +107,12 @@ def enumerate_marked_classes(G: FiniteGroup, family: ActionFamily, tail_spec: Fi
     if prefixes is None:
         prefix_list = list(itertools.product(range(G.order), repeat=family.prefix_len))
     else:
-        prefix_list = [tuple(p) for p in prefixes]
-        for p in prefix_list:
-            _check_prefix(G, family, p)
+        prefix_list = []
+        for p in prefixes:
+            if not isinstance(p, (tuple, list)):
+                raise ValueError(f"prefix {p!r} is not a tuple or list of element indices")
+            prefix_list.append(tuple(p))
+            _check_prefix(G, family, prefix_list[-1])
         prefix_list = sorted(set(prefix_list))
     tails = enumerate_classes(G, tail_spec, caps)
     return [MarkedClass(MarkedVector(prefix, t.canonical), t.size, t.nu)

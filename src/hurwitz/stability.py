@@ -66,6 +66,14 @@ def u_gamma(G: FiniteGroup, gamma: GammaSet) -> Stabilizer:
     return st
 
 
+def _generating_u_gamma(G: FiniteGroup, gamma: GammaSet) -> Stabilizer:
+    """`u_gamma`, or ValueError if gamma does not generate the group."""
+    u = u_gamma(G, gamma)
+    if u.sub != (1 << G.order) - 1:
+        raise ValueError("gamma does not generate the group")
+    return u
+
+
 # -- stability bound search -----------------------------------------------------
 
 
@@ -120,18 +128,21 @@ def find_stability_bound(G: FiniteGroup, gamma: GammaSet,
     the classes generating the whole group (appending u_gamma lands there
     regardless, since gamma generates).  ``bound`` is the least explored n
     from which every further explored map is bijective; ``confident`` marks
-    at least ``confirm`` bijective maps closing the window.
+    at least ``confirm`` bijective maps closing the window.  Raises
+    ValueError, before building anything, if gamma does not generate or
+    ``nu0`` does not have one entry per conjugacy class.
     """
     if confirm < 0:
         raise ValueError(f"confirm must be non-negative, got {confirm}")
     if window < 0:
         raise ValueError(f"window must be non-negative, got {window}")
-    u = u_gamma(G, gamma)
+    u = _generating_u_gamma(G, gamma)
     full = (1 << G.order) - 1
-    if u.sub != full:
-        raise ValueError("gamma does not generate the group")
     if nu0 is None:
         nu0 = u.nu
+    elif len(nu0) != G.classes.count:
+        raise ValueError(f"nu0 has {len(nu0)} entries, expected one per "
+                         f"conjugacy class: {G.classes.count}")
     if window < 1:
         return StabilityReport(tuple(nu0), u.nu, window, confirm, (), None, False,
                                error="window must cover at least one append map")
@@ -252,33 +263,7 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     return StableEqResult(None, None, "window exhausted without a stable verdict", window)
 
 
-# -- fraction monoid and adjoint words --------------------------------------------
-
-
-@dataclass(frozen=True)
-class FractionCheck:
-    """Outcome of `fraction_group_check`."""
-
-    is_group: bool | None
-    witness_powers: tuple[tuple[int, int], ...]  # (element, least power)
-    unresolved: tuple[int, ...]
-    max_power: int
-
-
-def fraction_group_check(G: FiniteGroup, gamma: GammaSet) -> FractionCheck:
-    """Check that every gamma element heads some member of a stabiliser power.
-
-    Success means every single-letter generator is invertible in the
-    localised class monoid, i.e. the monoid of fractions is a group.  For a
-    generating gamma this holds at power 1: every g in gamma is an entry of
-    u_gamma, and `sigma` moves an entry one place left unchanged ((a, b) ->
-    (b, a^b)), so u_gamma braids to a tuple that starts with g.  The check
-    is therefore the generating test alone; it builds no lattice node.
-    """
-    u = u_gamma(G, gamma)
-    if u.sub != (1 << G.order) - 1:
-        raise ValueError("gamma does not generate the group")
-    return FractionCheck(True, tuple((g, 1) for g in gamma.elements()), (), 1)
+# -- adjoint words -------------------------------------------------------------------
 
 
 def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],
@@ -289,9 +274,10 @@ def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],
     quandle on gamma (relations e_a e_b = e_b e_{a^b}).
 
     Word equality there is exactly stable equivalence with the gamma
-    stabiliser, provided the fraction monoid is a group.  It is one for
-    every generating gamma, at stabiliser power 1 (see
-    `fraction_group_check`), and a gamma that does not generate raises
+    stabiliser, provided the monoid of fractions is a group.  It is one for
+    every generating gamma: each g in gamma is an entry of u_gamma, and
+    `sigma` moves an entry one place left unchanged, so u_gamma braids to a
+    tuple that starts with g.  A gamma that does not generate raises
     ValueError.  Unequal Nielsen images (in particular unequal lengths) are
     final mismatches since class counts are read off the abelianisation;
     `stable_equivalent` reports them with its own prefilters.  An entry
@@ -302,14 +288,7 @@ def adj_word_equal(G: FiniteGroup, gamma: GammaSet, v: tuple[int, ...],
         for x in t:
             if x not in gamma:
                 raise ValueError(f"entry {x} lies outside gamma")
-    stabilisers = getattr(G, "_gamma_stabilisers", None)
-    if stabilisers is None:
-        stabilisers = G._gamma_stabilisers = {}
-    u = stabilisers.get(gamma.bits)
-    if u is None:
-        fraction_group_check(G, gamma)
-        u = stabilisers[gamma.bits] = u_gamma(G, gamma)
-    return stable_equivalent(G, v, w, u, window, confirm, caps)
+    return stable_equivalent(G, v, w, _generating_u_gamma(G, gamma), window, confirm, caps)
 
 
 # -- factorisation witness ----------------------------------------------------------

@@ -9,10 +9,10 @@ from hurwitz import (
     ActionFamily,
     FiberSpec,
     Stabilizer,
+    adj_word_equal,
     enumerate_marked_classes,
     find_stability_bound,
     format_tuple,
-    fraction_group_check,
     h2_order,
     h2_structure,
     marked_nielsen,
@@ -23,14 +23,14 @@ from hurwitz import (
 
 PUBLIC = {
     "ActionFamily", "CapExceeded", "Caps", "ConjClassTable", "FiberSpec", "FiniteGroup",
-    "FractionCheck", "GammaSet", "GroupTableError", "H2Report", "HomologyError",
+    "GammaSet", "GroupTableError", "H2Report", "HomologyError",
     "HurwitzError", "MarkedClass", "MarkedVector", "OrbitClass", "OrbitLattice",
     "ParseError", "StabilityLevel", "StabilityReport", "StableEqResult", "Stabilizer",
     "SubgroupMask", "TorsorContext", "TorsorElement", "abelian_invariant_factors",
     "adj_word_equal", "braid_equivalent", "build_builtin", "build_from_table",
     "commutator_subgroup", "enumerate_classes", "enumerate_marked_classes", "evaluate",
     "factor_witness", "fiber_size", "find_stability_bound", "format_tuple",
-    "fraction_group_check", "generated_subgroup", "get_lattice", "h2_order", "h2_structure",
+    "generated_subgroup", "get_lattice", "h2_order", "h2_structure",
     "load_group", "make_gamma", "make_stabilizer", "marked_family", "marked_nielsen",
     "marked_orbit", "monoid_act", "nielsen", "orbit", "orbit_members", "parse_tuple",
     "sigma", "sigma_inv", "stable_equivalent", "subgroup_closure", "to_table_doc",
@@ -45,7 +45,7 @@ PARAMETERS = {
     marked_orbit: ["G", "family", "mv", "caps"],
     enumerate_marked_classes: ["G", "family", "tail_spec", "prefixes", "caps"],
     find_stability_bound: ["G", "gamma", "nu0", "window", "confirm", "caps"],
-    fraction_group_check: ["G", "gamma"],
+    adj_word_equal: ["G", "gamma", "v", "w", "window", "confirm", "caps"],
     h2_order: ["G", "gamma", "window", "confirm", "caps"],
     h2_structure: ["G", "gamma", "window", "confirm", "caps"],
 }

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -264,9 +265,14 @@ def test_classes_trust_no_file_in_the_environment(tmp_path, capsys, monkeypatch)
     import hurwitz
 
     G = hurwitz.build_builtin("sym:3")
-    planted = tmp_path / f"{G.digest[:16]}.json"
+    # that cache named each file after the SHA-256 of the table's order and rows
+    h = hashlib.sha256(str(G.order).encode())
+    for row in G.mul:
+        h.update(b"|" + ",".join(map(str, row)).encode())
+    digest = h.hexdigest()
+    planted = tmp_path / f"{digest[:16]}.json"
     planted.write_text(json.dumps({
-        "version": 1, "group_digest": G.digest, "group_label": G.label,
+        "version": 1, "group_digest": digest, "group_label": G.label,
         "sigma": "sigma-right-conjugate-v1",
         "fibers": {"nu=0,2,0;gamma=1": {"reps": [[4, 4, 4]], "sizes": [1]}},
     }))

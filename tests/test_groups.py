@@ -411,6 +411,16 @@ def test_gamma_rejects_identity_and_empty(s3):
         make_gamma(s3, [])
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, "1", None], ids=repr)
+def test_gamma_representatives_are_plain_ints(s3, bad):
+    # True was served as element 1, False was refused as the identity and
+    # 1.0 raised TypeError
+    with pytest.raises(ValueError, match=re.escape(f"gamma representative {bad!r} is not")):
+        make_gamma(s3, [bad])
+    with pytest.raises(ValueError, match=re.escape(f"gamma representative {bad!r} is not")):
+        make_gamma(s3, [1, bad])
+
+
 def test_gamma_closed_under_conjugation(s3, q8):
     for G in (s3, q8):
         g = make_gamma(G, "all-nontrivial")

@@ -92,8 +92,9 @@ def test_classes_at_empty_level(s3):
 
 
 def test_every_gamma_element_heads_a_member_of_u_gamma(s3, d4, a4, s4, q8):
-    # the lemma `fraction_group_check` rests on: u_gamma lists every g in
-    # gamma, and sigma moves an entry one place left unchanged
+    # why `adj_word_equal` may read the monoid of fractions as a group:
+    # u_gamma lists every g in gamma, and sigma moves an entry one place
+    # left unchanged
     for G, reps, size in ((s3, ["(12)"], 240), (d4, ["s", "sr"], 8960)):
         gam = make_gamma(G, [el(G, x) for x in reps])
         members = orbit_members(G, u_gamma(G, gam).vector)

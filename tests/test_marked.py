@@ -138,6 +138,9 @@ def test_prefix_entries_are_checked(s3, s3_all, bad):
     spec = FiberSpec(nu=(0, 2, 0), gamma=s3_all)
     with pytest.raises(ValueError, match=msg):
         enumerate_marked_classes(s3, fam, spec, prefixes=[(0, 1), (0, bad)])
+    # a prefix that is no tuple or list raised TypeError from tuple(p)
+    with pytest.raises(ValueError, match=re.escape(f"prefix {bad!r} is not a tuple or list")):
+        enumerate_marked_classes(s3, fam, spec, prefixes=[(0, 1), bad])
 
 
 def test_prefix_width_is_checked(s3, s3_all):

@@ -6,14 +6,13 @@ import pytest
 
 from hurwitz import (
     FiberSpec,
-    FractionCheck,
     braid_equivalent,
     build_builtin,
     enumerate_classes,
     evaluate,
     factor_witness,
     find_stability_bound,
-    fraction_group_check,
+    h2_structure,
     adj_word_equal,
     make_gamma,
     make_stabilizer,
@@ -164,6 +163,18 @@ def test_bound_requires_generating_gamma(s3):
     gam = make_gamma(s3, [el(s3, "(123)")])  # 3-cycles only generate A3
     with pytest.raises(ValueError, match="generate"):
         find_stability_bound(s3, gam)
+
+
+@pytest.mark.parametrize("nu0", [(0, 2, 2, 7), (0, 2), ()], ids=repr)
+def test_bound_rejects_nu0_of_the_wrong_length(nu0):
+    # (0, 2, 2, 7) was truncated to (0, 2, 2) and reported with bound 0
+    G = build_builtin("sym:3")
+    L = get_lattice(G)
+    before = L.node_count()
+    msg = re.escape(f"nu0 has {len(nu0)} entries, expected one per conjugacy class: 3")
+    with pytest.raises(ValueError, match=msg):
+        find_stability_bound(G, make_gamma(G, "all-nontrivial"), nu0, window=2)
+    assert L.node_count() == before
 
 
 def test_negative_confirm_rejected(s3, s3_transpositions):
@@ -404,8 +415,26 @@ def test_stable_outcomes_do_not_depend_on_history():
     for x, y in reversed(pairs):
         stable_equivalent(G, y, x, u, window=2, confirm=1)
         factor_witness(G, x + u.vector, u.vector)
-    fraction_group_check(G, gam)
     assert outcomes(G, gam) == cold
+
+
+@pytest.mark.parametrize("name, reps", [("sym:3", ["(12)"]), ("alt:4", ["(123)"])])
+def test_a_group_keeps_only_its_tables_and_lattice(name, reps):
+    # state kept on the group from one call to the next is what a later
+    # answer could come to depend on; only derived tables and the lattice stay
+    G = build_builtin(name)
+    fields = set(vars(G))
+    gam = make_gamma(G, [el(G, x) for x in reps])
+    u = u_gamma(G, gam)
+    a = gam.elements()[0]
+    find_stability_bound(G, gam, window=2, confirm=1)
+    adj_word_equal(G, gam, (a, a), (a, a), window=2)
+    stable_equivalent(G, u.vector, u.vector, u, window=1)
+    h2_structure(G, gam, window=2)
+    get_lattice(G).classes_at(u.nu)
+    assert fields == {"order", "mul", "names", "label", "inv", "_conj_table", "_classes",
+                      "_orders", "_commutator"}
+    assert set(vars(G)) == fields | {"_lattice"}
 
 
 def test_warm_false_verdict_is_a_lookup(monkeypatch):
@@ -427,42 +456,6 @@ def test_warm_false_verdict_is_a_lookup(monkeypatch):
     monkeypatch.setattr(OrbitLattice, "classes_at", no_classes_at)
     monkeypatch.setattr(OrbitLattice, "append_word", no_fold_of_u)
     assert stable_equivalent(G, v, w, u, window=3) == warm
-
-
-# -- fraction monoid --------------------------------------------------------------------
-
-
-def test_fraction_check_cyclic2():
-    G = build_builtin("cyclic:2")
-    fc = fraction_group_check(G, make_gamma(G, [1]))
-    assert fc.is_group is True
-    assert fc.witness_powers == ((1, 1),)
-
-
-def test_fraction_check_s3(s3, s3_transpositions, s3_all):
-    for gam in (s3_transpositions, s3_all):
-        fc = fraction_group_check(s3, gam)
-        assert fc.is_group is True
-        assert all(n >= 1 for _, n in fc.witness_powers)
-        assert {g for g, _ in fc.witness_powers} == set(gam.elements())
-
-
-@pytest.mark.parametrize("name", ["sym:3", "alt:4", "sym:4", "dihedral:4", "quaternion:8"])
-def test_fraction_check_is_power_one_and_builds_nothing(name):
-    G = build_builtin(name)
-    L = get_lattice(G)
-    before = L.node_count()
-    gammas = list(generating_gammas(G))
-    assert gammas
-    for gam in gammas:
-        fc = fraction_group_check(G, gam)
-        assert fc == FractionCheck(True, tuple((g, 1) for g in gam.elements()), (), 1)
-    assert L.node_count() == before
-
-
-def test_fraction_check_requires_generating(s3):
-    with pytest.raises(ValueError, match="generate"):
-        fraction_group_check(s3, make_gamma(s3, [el(s3, "(123)")]))
 
 
 # -- adjoint word equality ----------------------------------------------------------------
@@ -490,6 +483,12 @@ def test_adj_squares_of_conjugates_equal(s3, s3_transpositions):
     assert res.equivalent is True
 
 
+def test_adj_requires_generating_gamma(s3):
+    c3 = el(s3, "(123)")
+    with pytest.raises(ValueError, match="generate"):
+        adj_word_equal(s3, make_gamma(s3, [c3]), (c3,), (c3,))
+
+
 def test_adj_rejects_entries_outside_gamma(s3, s3_transpositions):
     with pytest.raises(ValueError, match="outside gamma"):
         adj_word_equal(s3, s3_transpositions, (el(s3, "(123)"),), (el(s3, "(12)"),))
@@ -504,10 +503,11 @@ def test_adj_rejects_entries_outside_the_group(s3, s3_all, bad):
 
 
 def test_adj_word_equal_reuses_its_stabiliser(monkeypatch):
-    import hurwitz.stability
-
+    # the group keeps no stabiliser; a warm call rebuilds u_gamma and reads
+    # the lattice's shift maps, which are keyed by the word's value
     G = build_builtin("sym:3")
     gam = make_gamma(G, "all-nontrivial")
+    u = u_gamma(G, gam)
     t12, t13, t23, c3 = (el(G, x) for x in ("(12)", "(13)", "(23)", "(123)"))
     pairs = [((t12, t12), (t13, t13)), ((t12, t13), (t23, t12)),
              ((t12, t13), (t12, t23)), ((t12, c3), (c3, t13)), ((c3,), (t12,))]
@@ -516,10 +516,13 @@ def test_adj_word_equal_reuses_its_stabiliser(monkeypatch):
         return [adj_word_equal(G, gam, v, w, window=3, confirm=1).equivalent for v, w in pairs]
 
     warm = verdicts()
+    fold = OrbitLattice.append_word
 
-    def no_stabiliser(*args):
-        raise AssertionError("u_gamma rebuilt on a warm call")
+    def no_fold_of_u(self, node, word):
+        if word == u.vector:
+            raise AssertionError("u_gamma folded again on a warm call")
+        return fold(self, node, word)
 
-    monkeypatch.setattr(hurwitz.stability, "u_gamma", no_stabiliser)
+    monkeypatch.setattr(OrbitLattice, "append_word", no_fold_of_u)
     assert verdicts() == warm
     assert True in warm and False in warm
