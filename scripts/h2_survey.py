@@ -28,6 +28,9 @@ DEFAULT_CONFIGS = [
     "quaternion:8:all-nontrivial",
     "sym:4:(1234)",
     "alt:4:(123),(132)",
+    "sym:4:all-nontrivial",
+    "sym:3xcyclic:2:all-nontrivial",
+    "alt:5:(123)",
 ]
 
 

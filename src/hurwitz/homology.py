@@ -7,11 +7,24 @@ quotient of the Schur multiplier that the braid dynamics can see.  Its
 order falls out of exact division of a stable count; its structure falls
 out of a composition law on the identity-evaluation slice:
 
-    x . y  =  the unique z at the working level with  z + u^k  ~  x + y,
+    x . y  =  the unique z at the working level with  z + s  ~  x + y,
 
-where u is the gamma stabiliser and k matches levels.  The base point is
-the class of u^k, and the whole construction is cross-checked at a second
-stable level and across evaluation slices.
+where s is a shift word whose Nielsen type is the level.
+
+The stable level is found in per-class steps, the stabilisation of
+Ellenberg-Venkatesh-Westerland: for each class c of gamma the step is
+g^ord(g), g the least member of c, and appending it is well defined on
+generating classes.  The search starts at the sum of ord(c) * e_c over the
+classes of gamma, and each round appends every step once; a round is
+bijective when every step maps the generating classes at its level
+bijectively onto those at the level plus that step's type.  ``window``
+counts rounds, ``bound`` is the least round from which every explored round
+is bijective, and ``confident`` marks at least ``confirm`` bijective rounds
+closing the window.  The working level is the bound's round and s is the
+concatenated steps repeated bound + 1 times, which need not generate the
+group; the base point is the unique idempotent of the composition.  The
+count is cross-checked at the next round, and the whole construction
+across evaluation slices.  `find_stability_bound` keeps to the u_gamma ray.
 """
 
 from __future__ import annotations
@@ -20,16 +33,19 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from math import prod
 
-from .braid import Caps, DEFAULT_CAPS, OrbitClass
+from .braid import Caps, DEFAULT_CAPS, OrbitClass, nielsen
 from .errors import HomologyError
 from .groups import FiniteGroup, GammaSet, commutator_subgroup
 from .lattice import OrbitLattice, get_lattice
 from .stability import (
     DEFAULT_CONFIRM,
     DEFAULT_WINDOW,
+    Stabilizer,
+    _check_window,
+    _generating_u_gamma,
     _jsonable,
-    find_stability_bound,
-    u_gamma,
+    _search_rounds,
+    make_stabilizer,
 )
 
 
@@ -61,30 +77,43 @@ class TorsorContext:
 
     lattice: OrbitLattice
     level: tuple[int, ...]
+    shift: tuple[int, ...]  # s: x . y is the z with z + s ~ x + y
     elements: tuple[TorsorElement, ...]
     base: TorsorElement
-    _shifted: dict[int, TorsorElement]  # node of x + u^k -> x
+    _shifted: dict[int, TorsorElement]  # node of x + s -> x
+
+
+def _class_steps(G: FiniteGroup, gamma: GammaSet) -> list[Stabilizer]:
+    """g^ord(g) for the least member g of each class of gamma; ValueError
+    if gamma does not generate the group."""
+    _generating_u_gamma(G, gamma)
+    orders = G.element_orders
+    least = G.classes.representatives
+    return [make_stabilizer(G, (least[c],) * orders[least[c]]) for c in gamma.class_ids]
 
 
 def _stable_context(G: FiniteGroup, gamma: GammaSet, window: int, confirm: int, caps: Caps):
     """Search for the stable level once; the invariant is read off it.
 
-    Returns the stability report, the lattice, the stable level (the
-    report's level at its bound), the shift word u_gamma^k whose class lies
-    at that level, and the classes there that generate the whole group: the
-    domain of the search's append map leaving the level.
+    Returns the search's report over per-class rounds, the classes at the
+    stable level (the report's level at its bound) that generate the whole
+    group, which are the domain of every step leaving the level, and the
+    torsor on their identity-evaluation slice.
     """
-    report = find_stability_bound(G, gamma, None, window, confirm, caps)
+    _check_window(window, confirm)
+    steps = _class_steps(G, gamma)
+    word = tuple(g for s in steps for g in s.vector)
+    report = _search_rounds(G, nielsen(G, word), steps, window, confirm, caps)
     if report.bound is None:
-        raise HomologyError(
-            f"no stable level found within window {window}: {report.error}")
-    u = u_gamma(G, gamma)
+        message = f"no stable level found within window {window}: {report.error}"
+        if report.levels:
+            message += (f"; last level explored {report.levels[-1].nu}, generating classes "
+                        f"per round {[lv.generating_count for lv in report.levels]}")
+        raise HomologyError(message)
     level = report.levels[report.bound].nu
     L = get_lattice(G, caps)
-    nodes, _ = L.shift_level(level, u.vector, u.sub)
-    # composition compares z + u^k with x + y, so the level is k * nu(u_gamma)
-    k = sum(level) // sum(u.nu)
-    return report, L, level, u.vector * k, nodes
+    nodes, _ = L.shift_level(level, steps[0].vector, (1 << G.order) - 1)
+    return report, nodes, _torsor(L, level, word * (report.bound + 1), nodes)
 
 
 def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
@@ -93,13 +122,14 @@ def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
 
     Counts classes generating the whole group at a stable Nielsen level;
     the count must split exactly as order x |[G,G]|, and is re-counted at
-    the next stable level and per evaluation slice.
+    the next round's level and per evaluation slice.
     """
     return _order_report(G, _stable_context(G, gamma, window, confirm, caps))
 
 
 def _order_report(G: FiniteGroup, context) -> H2Report:
-    report, L, level, shift, nodes = context
+    report, nodes, torsor = context
+    L, level = torsor.lattice, torsor.level
     comm = commutator_subgroup(G).size
     count = len(nodes)
     if count == 0 or count % comm != 0:
@@ -107,7 +137,7 @@ def _order_report(G: FiniteGroup, context) -> H2Report:
             f"stable generating count {count} is not a positive multiple of "
             f"|[G,G]| = {comm}; level {level} may be sub-stable")
     order = count // comm
-    cross = report.levels[report.bound + 1]  # the search counted the next level
+    cross = report.levels[report.bound + 1]  # the search counted the next round
     if cross.generating_count != count:
         raise HomologyError(f"count {cross.generating_count} at cross-check level "
                             f"{cross.nu} differs from {count}")
@@ -122,7 +152,7 @@ def _order_report(G: FiniteGroup, context) -> H2Report:
         cross_checks=((cross.nu, cross.generating_count),),
         commutator_order=comm,
         slice_counts=tuple(sorted(by_ev.items())),
-        base_point=L.canonical(L.shift(0, shift)),
+        base_point=torsor.base.cls.canonical,
         bound=report.bound,
         confident=report.confident,
     )
@@ -131,25 +161,28 @@ def _order_report(G: FiniteGroup, context) -> H2Report:
 def torsor_group(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
                  confirm: int = DEFAULT_CONFIRM, caps: Caps = DEFAULT_CAPS) -> TorsorContext:
     """Identity-evaluation slice at a stable level, with its base point."""
-    return _torsor(_stable_context(G, gamma, window, confirm, caps))
+    return _stable_context(G, gamma, window, confirm, caps)[2]
 
 
-def _torsor(context) -> TorsorContext:
-    _, L, level, shift, nodes = context
+def _torsor(L: OrbitLattice, level: tuple[int, ...], shift: tuple[int, ...],
+            nodes: tuple[int, ...]) -> TorsorContext:
     elements = tuple(TorsorElement(L.orbit_class(x), x) for x in nodes if L.ev(x) == 0)
-    base_node = L.shift(0, shift)
-    base = next(el for el in elements if el.node == base_node)
     shifted: dict[int, TorsorElement] = {}
     for el in elements:
         if shifted.setdefault(L.shift(el.node, shift), el) is not el:
             raise HomologyError(
                 "composition is not uniquely defined (two classes shift to one); "
                 f"level {level} may be sub-stable")
-    return TorsorContext(L, level, elements, base, shifted)
+    idempotents = [el for el in elements
+                   if shifted.get(L.append_word(el.node, el.cls.canonical)) is el]
+    if len(idempotents) != 1:
+        raise HomologyError(f"composition at level {level} has {len(idempotents)} "
+                            "idempotents, expected exactly one")
+    return TorsorContext(L, level, shift, elements, idempotents[0], shifted)
 
 
 def torsor_compose(ctx: TorsorContext, x: TorsorElement, y: TorsorElement) -> TorsorElement:
-    """x . y = unique z at the level with z + u^k ~ x + y."""
+    """x . y = unique z at the level with z + s ~ x + y."""
     L = ctx.lattice
     z = ctx._shifted.get(L.append_word(x.node, L.canonical(y.node)))
     if z is None:
@@ -207,7 +240,7 @@ def h2_structure(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
     """Full invariant-factor decomposition via the torsor composition law."""
     context = _stable_context(G, gamma, window, confirm, caps)
     report = _order_report(G, context)
-    ctx = _torsor(context)
+    ctx = context[2]
     m = len(ctx.elements)
     if m != report.order:
         raise HomologyError(

@@ -130,35 +130,60 @@ def find_stability_bound(G: FiniteGroup, gamma: GammaSet,
     from which every further explored map is bijective; ``confident`` marks
     at least ``confirm`` bijective maps closing the window.  Raises
     ValueError, before building anything, if gamma does not generate or
-    ``nu0`` does not have one entry per conjugacy class.
+    ``nu0`` does not have one entry per conjugacy class, each a
+    non-negative int.
     """
-    if confirm < 0:
-        raise ValueError(f"confirm must be non-negative, got {confirm}")
-    if window < 0:
-        raise ValueError(f"window must be non-negative, got {window}")
+    _check_window(window, confirm)
     u = _generating_u_gamma(G, gamma)
-    full = (1 << G.order) - 1
     if nu0 is None:
         nu0 = u.nu
     elif len(nu0) != G.classes.count:
         raise ValueError(f"nu0 has {len(nu0)} entries, expected one per "
                          f"conjugacy class: {G.classes.count}")
+    for i, x in enumerate(nu0):
+        if type(x) is not int or x < 0:
+            raise ValueError(f"nu0 entry {x!r} at position {i} is not a non-negative int")
+    return _search_rounds(G, tuple(nu0), [u], window, confirm, caps)
+
+
+def _check_window(window: int, confirm: int) -> None:
+    if confirm < 0:
+        raise ValueError(f"confirm must be non-negative, got {confirm}")
+    if window < 0:
+        raise ValueError(f"window must be non-negative, got {window}")
+
+
+def _search_rounds(G: FiniteGroup, nu0: tuple[int, ...], steps: list[Stabilizer],
+                  window: int, confirm: int, caps: Caps) -> StabilityReport:
+    """Explore rounds nu0 + n * step, n = 0..window, where step is the sum
+    of the steps' Nielsen types, and find where every step bijects.
+
+    Round n's maps append each step to the generating classes at its level;
+    the round is bijective when each map is a bijection onto the generating
+    classes at the level plus that step's type.  ``bound`` and
+    ``confident`` are read off the rounds as `find_stability_bound`
+    describes; the caller checks ``window`` and ``confirm``.
+    """
+    step = tuple(map(sum, zip(*(s.nu for s in steps))))
     if window < 1:
-        return StabilityReport(tuple(nu0), u.nu, window, confirm, (), None, False,
+        return StabilityReport(nu0, step, window, confirm, (), None, False,
                                error="window must cover at least one append map")
     L = get_lattice(G, caps)
-    per_level_nodes: list[list[int]] = []
-    per_level_gen: list[list[int]] = []
-    for n in range(window + 1):
-        nodes = list(L.classes_at(_add_nu(nu0, u.nu, n)))
-        per_level_nodes.append(nodes)
-        per_level_gen.append([x for x in nodes if L.sub_bits(x) == full])
+    full = (1 << G.order) - 1
+
+    def generating(nu):
+        return {x for x in L.classes_at(nu) if L.sub_bits(x) == full}
+
+    rounds = [_add_nu(nu0, step, n) for n in range(window + 1)]
+    counts = [(len(L.classes_at(nu)), len(generating(nu))) for nu in rounds]
     flags: list[tuple[bool, bool]] = []
-    for n in range(window):
-        # u generates the group, so the append's domain is the generating classes
-        _, images = L.shift_level(_add_nu(nu0, u.nu, n), u.vector, u.sub)
-        injective = len(set(images)) == len(images)
-        surjective = set(images) == set(per_level_gen[n + 1])
+    for nu in rounds[:-1]:
+        injective = surjective = True
+        for s in steps:
+            # the domain is the generating classes, whatever the step generates
+            _, images = L.shift_level(nu, s.vector, full)
+            injective &= len(set(images)) == len(images)
+            surjective &= set(images) == generating(_add_nu(nu, s.nu, 1))
         flags.append((injective, surjective))
     bound: int | None = None
     for n in range(window - 1, -1, -1):
@@ -171,17 +196,16 @@ def find_stability_bound(G: FiniteGroup, gamma: GammaSet,
         inj, sur = (flags[n] if n < window else (None, None))
         levels.append(StabilityLevel(
             n=n,
-            nu=_add_nu(nu0, u.nu, n),
-            count=len(per_level_nodes[n]),
-            generating_count=len(per_level_gen[n]),
+            nu=rounds[n],
+            count=counts[n][0],
+            generating_count=counts[n][1],
             injective=inj,
             surjective=sur,
             bijective=(None if inj is None else inj and sur),
         ))
     confident = bound is not None and (window - bound) >= confirm
     error = None if bound is not None else "no bijective tail within explored window"
-    return StabilityReport(tuple(nu0), u.nu, window, confirm, tuple(levels),
-                           bound, confident, error)
+    return StabilityReport(nu0, step, window, confirm, tuple(levels), bound, confident, error)
 
 
 # -- stable equivalence ----------------------------------------------------------
@@ -218,10 +242,7 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     ``confirm`` such levels), mirroring the empirical stability bound;
     otherwise the result is indeterminate.
     """
-    if confirm < 0:
-        raise ValueError(f"confirm must be non-negative, got {confirm}")
-    if window < 0:
-        raise ValueError(f"window must be non-negative, got {window}")
+    _check_window(window, confirm)
     L = get_lattice(G, caps)
     node_v = L.find(v)
     node_w = L.find(w)

@@ -237,6 +237,9 @@ def test_criterion_07_torsor_counting(s3, s3_transpositions, s3_all, announce):
     for spec in ("cyclic:4", "cyclic:2xcyclic:2"):
         G = build_builtin(spec)
         check(G, make_gamma(G, "all-nontrivial"), f"{spec}/all", 3, expect_order=1)
+    # per-class steps build these nodes; the u_gamma ray built 61,999 and
+    # 224,539, and the counts are deterministic where seconds are not
+    nodes = {}
     for spec, fallback in (("dihedral:4", ("r", "s")), ("quaternion:8", ("i", "j"))):
         G = build_builtin(spec)
         try:
@@ -245,6 +248,9 @@ def test_criterion_07_torsor_counting(s3, s3_transpositions, s3_all, announce):
         except CapExceeded:
             gam = make_gamma(G, [G.index_of(n) for n in fallback])
             check(G, gam, f"{spec}/two-classes", 3)
+        nodes[spec] = get_lattice(G).node_count()
+    assert nodes == {"dihedral:4": 9_583, "quaternion:8": 32_137}
+    assert nodes["dihedral:4"] <= 61_999 // 5 and nodes["quaternion:8"] <= 224_539 // 5
 
     # classical transitivity on transposition tuples, reproduced by brute
     # force: direct enumeration at the stable level gives one generating

@@ -416,9 +416,9 @@ GOLDEN = [
      '"uniform_floor":6,"window":2}\n'),
     (("h2", "--group", "alt:4", "--gamma", "(123)", "--window", "2", "--structure",
       "--format", "jsonl"),
-     '{"base_point":[2,2,2,2,2,2,2,2,2,4,4,4],"bound":0,"commutator_order":4,'
-     '"confident":true,"cross_checks":[[[0,0,24,0],8]],"order":2,'
-     '"slice_counts":[[0,2],[3,2],[8,2],[11,2]],"stable_level":[0,0,12,0],'
+     '{"base_point":[2,2,2,4,4,4],"bound":1,"commutator_order":4,'
+     '"confident":false,"cross_checks":[[[0,0,9,0],8]],"order":2,'
+     '"slice_counts":[[0,2],[3,2],[8,2],[11,2]],"stable_level":[0,0,6,0],'
      '"structure":[2]}\n'),
     (("stability", "--group", "sym:3", "--gamma", "all-nontrivial", "--window", "2",
       "--format", "tsv"),

@@ -15,6 +15,7 @@ from hurwitz import (
     abelian_invariant_factors,
     build_builtin,
     build_from_table,
+    commutator_subgroup,
     find_stability_bound,
     get_lattice,
     h2_order,
@@ -77,10 +78,15 @@ def test_h2_s3_transpositions(s3, s3_transpositions):
 def test_h2_s3_all_nontrivial_cross_levels(s3, s3_all):
     rep = h2_order(s3, s3_all, window=3)
     assert rep.order == 1
-    # one re-count, at the next stable level
+    # one re-count, at the next round: each class c steps by ord(c) e_c
     ((nu, count),) = rep.cross_checks
-    assert nu == tuple(a + b for a, b in zip(rep.stable_level, u_gamma(s3, s3_all).nu))
+    assert (rep.stable_level, nu) == ((0, 2, 3), (0, 4, 6))
     assert count == rep.order * rep.commutator_order
+    # the u_gamma ray re-counts one u_gamma further on
+    ray = find_stability_bound(s3, s3_all, None, 3)
+    stable, cross = ray.levels[ray.bound], ray.levels[ray.bound + 1]
+    assert cross.nu == tuple(a + b for a, b in zip(stable.nu, u_gamma(s3, s3_all).nu))
+    assert (stable.nu, cross.nu, cross.generating_count) == ((0, 6, 6), (0, 12, 12), count)
 
 
 def test_h2_quaternion_small_gamma(q8):
@@ -103,6 +109,57 @@ def test_h2_window_exhaustion_raises(s3, s3_transpositions):
         h2_order(s3, s3_transpositions, window=0)
 
 
+def test_h2_requires_a_generating_gamma():
+    G = build_builtin("sym:3")
+    L = get_lattice(G)
+    before = L.node_count()
+    for fn in (h2_order, h2_structure, torsor_group):
+        with pytest.raises(ValueError, match="gamma does not generate the group"):
+            fn(G, make_gamma(G, [G.index_of("(123)")]))  # 3-cycles generate A3
+    assert L.node_count() == before
+
+
+def test_h2_without_a_stable_level_names_the_rounds(a4):
+    # one round of (123)^3 steps, from (0, 0, 3, 0) onto (0, 0, 6, 0), is not bijective
+    gamma = make_gamma(a4, [a4.index_of("(123)")])
+    with pytest.raises(HomologyError, match=re.escape(
+            "no stable level found within window 1: no bijective tail within explored "
+            "window; last level explored (0, 0, 6, 0), generating classes per round [7, 8]")):
+        h2_order(a4, gamma, window=1)
+
+
+# the u_gamma ray's answer: the generating count at find_stability_bound's
+# stable level over |[G,G]|.  Each is 1 or 2, which fixes the structure.
+AGREE = [
+    ("sym:3", "all-nontrivial"), ("sym:3", ["(12)"]), ("cyclic:4", "all-nontrivial"),
+    ("cyclic:2xcyclic:2", "all-nontrivial"), ("alt:4", ["(123)"]),
+    ("alt:4", ["(123)", "(132)"]), ("sym:4", ["(1234)"]), ("dihedral:4", "all-nontrivial"),
+]
+
+
+@pytest.mark.parametrize("spec, names", AGREE, ids=[f"{g}-{n if isinstance(n, str) else '+'.join(n)}"
+                                                    for g, n in AGREE])
+def test_per_class_steps_agree_with_the_u_gamma_ray(spec, names):
+    G = build_builtin(spec)
+    gamma = make_gamma(G, names if isinstance(names, str) else [G.index_of(x) for x in names])
+    ray = find_stability_bound(G, gamma, None, 2)
+    stable = ray.levels[ray.bound]
+    order, rest = divmod(stable.generating_count, commutator_subgroup(G).size)
+    assert rest == 0 and order in (1, 2)
+    rep = h2_structure(G, gamma, window=2)
+    assert (rep.order, rep.structure) == (order, () if order == 1 else (order,))
+    assert all(a <= b for a, b in zip(rep.stable_level, stable.nu))
+
+
+def test_h2_structure_alt5_three_cycles_is_z2():
+    # the u_gamma step of alt:5 3-cycles has 60 letters, out of reach
+    G = build_builtin("alt:5")
+    rep = h2_structure(G, make_gamma(G, [G.index_of("(123)")]), window=2)
+    assert rep.order == 2 and rep.structure == (2,)
+    assert rep.stable_level == (0, 6, 0, 0, 0)
+    assert rep.cross_checks == (((0, 9, 0, 0, 0), 120),)
+
+
 # -- torsor group -----------------------------------------------------------------
 
 
@@ -111,6 +168,25 @@ def test_torsor_identity_law(s3, s3_transpositions):
     for x in ctx.elements:
         assert torsor_compose(ctx, x, ctx.base).node == x.node
         assert torsor_compose(ctx, ctx.base, x).node == x.node
+
+
+def test_torsor_shift_need_not_generate(s3, s3_transpositions):
+    # s is the step (t, t) of the least transposition t, once per round up to
+    # the bound; it generates <t> only, and the base point is the idempotent
+    ctx = torsor_group(s3, s3_transpositions, window=2)
+    t = min(s3_transpositions.elements())
+    assert (ctx.level, ctx.shift) == ((0, 4, 0), (t,) * 4)
+    assert torsor_compose(ctx, ctx.base, ctx.base) == ctx.base
+
+
+def test_torsor_needs_exactly_one_idempotent(a4_torsor):
+    # a shift one round short of the level makes x + s and x + x differ in
+    # Nielsen type, so no class is idempotent
+    L, level = a4_torsor.lattice, a4_torsor.level
+    nodes = tuple(el.node for el in a4_torsor.elements)
+    with pytest.raises(HomologyError, match=re.escape(
+            f"composition at level {level} has 0 idempotents, expected exactly one")):
+        hurwitz.homology._torsor(L, level, a4_torsor.shift[:len(a4_torsor.shift) // 2], nodes)
 
 
 def test_torsor_base_point_properties(s3, s3_all):
@@ -155,10 +231,22 @@ def a4_torsor(a4, a4_three_cycles):
 def test_h2_structure_alt4_three_cycles_is_z2(a4, a4_three_cycles):
     rep = h2_structure(a4, a4_three_cycles, window=2)
     assert rep.order == 2 and rep.structure == (2,)
-    assert rep.stable_level == (0, 0, 12, 0)
+    assert rep.stable_level == (0, 0, 6, 0)
+    assert (rep.bound, rep.confident) == (1, False)
     assert rep.commutator_order == 4
-    assert rep.base_point == (2,) * 9 + (4, 4, 4)
+    assert rep.base_point == (2, 2, 2, 4, 4, 4)
     assert rep.slice_counts == ((0, 2), (3, 2), (8, 2), (11, 2))
+
+
+def test_alt4_three_cycles_along_the_u_gamma_ray(a4, a4_three_cycles):
+    # the ray is stable from its first level, and its composition took the
+    # class of u_gamma as the base point; its count agrees with the steps'
+    ray = find_stability_bound(a4, a4_three_cycles, None, 2)
+    assert (ray.bound, ray.confident) == (0, True)
+    assert [(lv.nu, lv.generating_count) for lv in ray.levels[:2]] == [
+        ((0, 0, 12, 0), 8), ((0, 0, 24, 0), 8)]
+    L = get_lattice(a4)
+    assert L.canonical(L.find(u_gamma(a4, a4_three_cycles).vector)) == (2,) * 9 + (4, 4, 4)
 
 
 def test_alt4_torsor_is_an_abelian_group_of_order_2(a4_torsor):
@@ -171,11 +259,10 @@ def test_alt4_torsor_is_an_abelian_group_of_order_2(a4_torsor):
 
 def test_alt4_torsor_matches_sl23_lift(a4, a4_three_cycles, a4_torsor):
     # independent check: the product of the order-3 lifts to SL(2,3) is a
-    # braid invariant, so z + u^k ~ x + y forces lift(z) lift(u^k) = lift(x) lift(y)
+    # braid invariant, so z + s ~ x + y forces lift(z) lift(s) = lift(x) lift(y)
     oracles = bench_oracles()
     lift = oracles.LiftingInvariant(a4.names)
-    u = u_gamma(a4, a4_three_cycles)
-    shift = lift.of(u.vector * (sum(a4_torsor.level) // len(u.vector)))
+    shift = lift.of(a4_torsor.shift)
     els = a4_torsor.elements
     for x in els:
         for y in els:
@@ -195,21 +282,28 @@ def a4_pair(a4):
 
 
 def test_h2_structure_sym4_four_cycles_is_z2(s4):
-    rep = h2_structure(s4, make_gamma(s4, [s4.index_of("(1234)")]), window=2)
+    gamma = make_gamma(s4, [s4.index_of("(1234)")])
+    rep = h2_structure(s4, gamma, window=2)
     assert rep.order == 2 and rep.structure == (2,)
-    assert rep.stable_level == (0, 0, 0, 0, 24)
-    assert rep.cross_checks == (((0, 0, 0, 0, 48), 24),)
+    assert rep.stable_level == (0, 0, 0, 0, 8)
+    assert rep.cross_checks == (((0, 0, 0, 0, 12), 24),)
     assert rep.commutator_order == 12
     assert len(rep.slice_counts) == 12 and all(c == 2 for _, c in rep.slice_counts)
+    ray = find_stability_bound(s4, gamma, None, 2)
+    assert [(lv.nu, lv.generating_count) for lv in ray.levels[ray.bound:ray.bound + 2]] == [
+        ((0, 0, 0, 0, 24), 24), ((0, 0, 0, 0, 48), 24)]
 
 
 def test_h2_structure_alt4_both_three_cycle_classes_is_z2(a4, a4_pair):
     rep = h2_structure(a4, a4_pair, window=2)
     assert rep.order == 2 and rep.structure == (2,)
-    assert rep.stable_level == (0, 12, 12, 0)
-    assert rep.cross_checks == (((0, 24, 24, 0), 8),)
+    assert rep.stable_level == (0, 3, 3, 0)
+    assert rep.cross_checks == (((0, 6, 6, 0), 8),)
     assert rep.commutator_order == 4
     assert rep.slice_counts == ((0, 2), (3, 2), (8, 2), (11, 2))
+    ray = find_stability_bound(a4, a4_pair, None, 2)
+    assert [(lv.nu, lv.generating_count) for lv in ray.levels[ray.bound:ray.bound + 2]] == [
+        ((0, 12, 12, 0), 8), ((0, 24, 24, 0), 8)]
 
 
 def test_alt4_pair_slices_are_split_by_the_sl23_lift(a4, a4_pair):
@@ -237,7 +331,7 @@ def test_torsor_compose_without_a_match_raises(a4_torsor):
 
 
 # each gamma has H = Z/2 at its stable level, so every fault below is caught
-NONTRIVIAL = [("alt:4", "(123)", (0, 0, 12, 0)), ("sym:4", "(1234)", (0, 0, 0, 0, 24))]
+NONTRIVIAL = [("alt:4", "(123)", (0, 0, 6, 0)), ("sym:4", "(1234)", (0, 0, 0, 0, 8))]
 
 
 def _other_element(original, ctx, x, y):
@@ -265,13 +359,13 @@ def test_h2_structure_errors_name_the_level(spec, cls, level, name, fault, messa
 
 def test_h2_structure_searches_for_its_stable_level_once(a4, a4_three_cycles, monkeypatch):
     calls = []
-    search = hurwitz.homology.find_stability_bound
+    search = hurwitz.homology._search_rounds
 
     def counting(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(hurwitz.homology, "find_stability_bound", counting)
+    monkeypatch.setattr(hurwitz.homology, "_search_rounds", counting)
     h2_structure(a4, a4_three_cycles, window=2)
     assert len(calls) == 1
 
@@ -280,7 +374,7 @@ def test_h2_structure_reads_its_stable_level_off_the_search(monkeypatch):
     # a fresh group, so that its lattice holds only what this call builds
     G = build_builtin("alt:4")
     gamma = make_gamma(G, [G.index_of("(123)")])
-    search = hurwitz.homology.find_stability_bound
+    search = hurwitz.homology._search_rounds
     classes_at = OrbitLattice.classes_at
     nodes_after_search = []
     late_classes_at = []
@@ -295,11 +389,16 @@ def test_h2_structure_reads_its_stable_level_off_the_search(monkeypatch):
             late_classes_at.append(nu)
         return classes_at(self, nu)
 
-    monkeypatch.setattr(hurwitz.homology, "find_stability_bound", searching)
+    monkeypatch.setattr(hurwitz.homology, "_search_rounds", searching)
     monkeypatch.setattr(OrbitLattice, "classes_at", counting)
     assert h2_structure(G, gamma, window=2).structure == (2,)
     assert late_classes_at == []
-    assert nodes_after_search == [get_lattice(G).node_count()]
+    # the search ends at round (0, 0, 9, 0); only the shifts by s and the
+    # products of the composition, at twice the stable level (0, 0, 6, 0),
+    # build classes past it
+    L = get_lattice(G)
+    late = {L.level(x) for x in range(nodes_after_search[0], L.node_count())}
+    assert late == {(0, 0, j, 0) for j in (10, 11, 12)}
 
 
 def test_reports_serialise_every_field_as_json_values(a4, a4_three_cycles):
@@ -314,7 +413,7 @@ def test_reports_serialise_every_field_as_json_values(a4, a4_three_cycles):
     assert set(h2) == names(H2Report)
     assert set(stability) == names(StabilityReport)
     assert all(set(lv) == names(StabilityLevel) for lv in stability["levels"])
-    assert h2["cross_checks"] == [[[0, 0, 24, 0], 8]] and h2["structure"] == [2]
+    assert h2["cross_checks"] == [[[0, 0, 9, 0], 8]] and h2["structure"] == [2]
 
 
 def test_h2_structure_trivial_cases(s3, s3_transpositions, c4):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conftest import load_repo_file
+from hurwitz import build_builtin, find_stability_bound, make_gamma
 
 LIGHT = ["--configs", "sym:3:(12)", "--window", "2"]
 
@@ -16,7 +17,11 @@ def test_h2_survey_runs_one_light_configuration(capsys):
     (line,) = capsys.readouterr().out.splitlines()
     record = json.loads(line)
     assert (record["group"], record["gamma"]) == ("sym:3", "(12)")
-    assert (record["order"], record["structure"], record["stable_level"]) == (1, [], [0, 6, 0])
+    assert (record["order"], record["structure"], record["stable_level"]) == (1, [], [0, 4, 0])
+    # the u_gamma ray, which the search keeps, is stable from (0, 6, 0)
+    G = build_builtin("sym:3")
+    ray = find_stability_bound(G, make_gamma(G, [G.index_of("(12)")]), None, 2)
+    assert ray.levels[ray.bound].nu == (0, 6, 0)
 
 
 def test_stability_scan_runs_one_light_configuration(capsys):

@@ -177,6 +177,20 @@ def test_bound_rejects_nu0_of_the_wrong_length(nu0):
     assert L.node_count() == before
 
 
+@pytest.mark.parametrize("nu0, position", [((0, 2.0, 2), 1), ((0, True, 2), 1),
+                                           ((0, 2, -1), 2), (("0", 2, 2), 0)], ids=repr)
+def test_bound_rejects_nu0_entries_that_are_not_non_negative_ints(nu0, position):
+    # (0, 2.0, 2) and (0, True, 2) were served and echoed back in the report
+    G = build_builtin("sym:3")
+    L = get_lattice(G)
+    before = L.node_count()
+    msg = re.escape(f"nu0 entry {nu0[position]!r} at position {position} is not a "
+                    "non-negative int")
+    with pytest.raises(ValueError, match=msg):
+        find_stability_bound(G, make_gamma(G, "all-nontrivial"), nu0, window=2)
+    assert L.node_count() == before
+
+
 def test_negative_confirm_rejected(s3, s3_transpositions):
     u = u_gamma(s3, s3_transpositions)
     t12 = el(s3, "(12)")
