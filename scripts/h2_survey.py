@@ -45,7 +45,7 @@ def run_cli(argv):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--configs", nargs="*", default=DEFAULT_CONFIGS)
-    parser.add_argument("--window", type=int, default=2)
+    parser.add_argument("--window", type=int, default=3)
     parser.add_argument("--caps", default=None,
                         help="CLI cap syntax, e.g. nodes=2000000 (default: the CLI's caps)")
     args = parser.parse_args(argv)

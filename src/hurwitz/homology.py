@@ -95,10 +95,10 @@ def _class_steps(G: FiniteGroup, gamma: GammaSet) -> list[Stabilizer]:
 def _stable_context(G: FiniteGroup, gamma: GammaSet, window: int, confirm: int, caps: Caps):
     """Search for the stable level once; the invariant is read off it.
 
-    Returns the search's report over per-class rounds, the classes at the
-    stable level (the report's level at its bound) that generate the whole
-    group, which are the domain of every step leaving the level, and the
-    torsor on their identity-evaluation slice.
+    Returns the search's report over per-class rounds, the lattice, the
+    stable level (the report's level at its bound), the shift word s, and
+    the classes at the level that generate the whole group, which are the
+    domain of every step leaving the level.
     """
     _check_window(window, confirm)
     steps = _class_steps(G, gamma)
@@ -113,7 +113,7 @@ def _stable_context(G: FiniteGroup, gamma: GammaSet, window: int, confirm: int, 
     level = report.levels[report.bound].nu
     L = get_lattice(G, caps)
     nodes, _ = L.shift_level(level, steps[0].vector, (1 << G.order) - 1)
-    return report, nodes, _torsor(L, level, word * (report.bound + 1), nodes)
+    return report, L, level, word * (report.bound + 1), nodes
 
 
 def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
@@ -122,14 +122,14 @@ def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
 
     Counts classes generating the whole group at a stable Nielsen level;
     the count must split exactly as order x |[G,G]|, and is re-counted at
-    the next round's level and per evaluation slice.
+    the next round's level and per evaluation slice.  The base point comes
+    from the torsor, which is built only once the counts have passed.
     """
-    return _order_report(G, _stable_context(G, gamma, window, confirm, caps))
+    return _order_report(G, _stable_context(G, gamma, window, confirm, caps))[0]
 
 
-def _order_report(G: FiniteGroup, context) -> H2Report:
-    report, nodes, torsor = context
-    L, level = torsor.lattice, torsor.level
+def _order_report(G: FiniteGroup, context) -> tuple[H2Report, TorsorContext]:
+    report, L, level, shift, nodes = context
     comm = commutator_subgroup(G).size
     count = len(nodes)
     if count == 0 or count % comm != 0:
@@ -145,6 +145,7 @@ def _order_report(G: FiniteGroup, context) -> H2Report:
     if len(by_ev) != comm or any(c != order for c in by_ev.values()):
         raise HomologyError(
             f"evaluation slices at {level} are uneven: {sorted(by_ev.items())}")
+    torsor = _torsor(L, level, shift, nodes)
     return H2Report(
         order=order,
         structure=None,
@@ -155,17 +156,20 @@ def _order_report(G: FiniteGroup, context) -> H2Report:
         base_point=torsor.base.cls.canonical,
         bound=report.bound,
         confident=report.confident,
-    )
+    ), torsor
 
 
 def torsor_group(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
                  confirm: int = DEFAULT_CONFIRM, caps: Caps = DEFAULT_CAPS) -> TorsorContext:
     """Identity-evaluation slice at a stable level, with its base point."""
-    return _stable_context(G, gamma, window, confirm, caps)[2]
+    return _torsor(*_stable_context(G, gamma, window, confirm, caps)[1:])
 
 
 def _torsor(L: OrbitLattice, level: tuple[int, ...], shift: tuple[int, ...],
             nodes: tuple[int, ...]) -> TorsorContext:
+    """The identity-evaluation classes among ``nodes``, composed with shift
+    ``shift``; HomologyError unless composition is well defined and has
+    exactly one idempotent."""
     elements = tuple(TorsorElement(L.orbit_class(x), x) for x in nodes if L.ev(x) == 0)
     shifted: dict[int, TorsorElement] = {}
     for el in elements:
@@ -238,9 +242,7 @@ def abelian_invariant_factors(order: int, mul, identity: int) -> list[int]:
 def h2_structure(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
                  confirm: int = DEFAULT_CONFIRM, caps: Caps = DEFAULT_CAPS) -> H2Report:
     """Full invariant-factor decomposition via the torsor composition law."""
-    context = _stable_context(G, gamma, window, confirm, caps)
-    report = _order_report(G, context)
-    ctx = context[2]
+    report, ctx = _order_report(G, _stable_context(G, gamma, window, confirm, caps))
     m = len(ctx.elements)
     if m != report.order:
         raise HomologyError(

@@ -92,8 +92,8 @@ transport first needs it, through one of its states.
 Stabiliser words are appended over and over (stability searches,
 stable-equivalence verdicts, homology shifts), so their append maps are
 memoised per word: `shift` stores rep(node) + word for each node it has
-folded, and `shift_level` stores, per (word, level), the images of the
-level's classes whose subgroup contains the word's.
+folded, and `shift_level` stores, per (word, level, subgroup), the images
+of the level's classes whose subgroup contains the given one.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class OrbitLattice:
         self._classes_at: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._sub_memo: dict[tuple[int, int], int] = {}
         # stabiliser append maps: word -> {node: node + word}, and
-        # (word, level) -> (domain classes, their images)
+        # (word, level, subgroup) -> (domain classes, their images)
         self._shifts: dict[tuple[int, ...], dict[int, int]] = {}
         self._level_shifts: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         # conjugation by the non-central elements of a generating set, taken
@@ -427,11 +427,11 @@ class OrbitLattice:
                     sub: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The append of ``word`` on a level: (domain, images), memoised.
 
-        The domain is the classes at ``nu`` whose subgroup contains ``sub``,
-        the bits of the subgroup ``word`` generates, in `classes_at` order;
-        images are parallel to it.
+        The domain is the classes at ``nu`` whose subgroup contains ``sub``
+        (a subgroup's bits, not necessarily the one ``word`` generates), in
+        `classes_at` order; images are parallel to it.
         """
-        key = (word, nu)
+        key = (word, nu, sub)
         hit = self._level_shifts.get(key)
         if hit is None:
             sub_of = self._sub

@@ -171,11 +171,15 @@ def _search_rounds(G: FiniteGroup, nu0: tuple[int, ...], steps: list[Stabilizer]
     L = get_lattice(G, caps)
     full = (1 << G.order) - 1
 
-    def generating(nu):
-        return {x for x in L.classes_at(nu) if L.sub_bits(x) == full}
+    generating: dict[tuple[int, ...], set[int]] = {}
+
+    def generating_at(nu):
+        if nu not in generating:
+            generating[nu] = {x for x in L.classes_at(nu) if L.sub_bits(x) == full}
+        return generating[nu]
 
     rounds = [_add_nu(nu0, step, n) for n in range(window + 1)]
-    counts = [(len(L.classes_at(nu)), len(generating(nu))) for nu in rounds]
+    counts = [(len(L.classes_at(nu)), len(generating_at(nu))) for nu in rounds]
     flags: list[tuple[bool, bool]] = []
     for nu in rounds[:-1]:
         injective = surjective = True
@@ -183,7 +187,7 @@ def _search_rounds(G: FiniteGroup, nu0: tuple[int, ...], steps: list[Stabilizer]
             # the domain is the generating classes, whatever the step generates
             _, images = L.shift_level(nu, s.vector, full)
             injective &= len(set(images)) == len(images)
-            surjective &= set(images) == generating(_add_nu(nu, s.nu, 1))
+            surjective &= set(images) == generating_at(_add_nu(nu, s.nu, 1))
         flags.append((injective, surjective))
     bound: int | None = None
     for n in range(window - 1, -1, -1):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import re
+import types
 
 import pytest
 
@@ -21,6 +22,8 @@ from hurwitz import (
     h2_order,
     h2_structure,
     make_gamma,
+    make_stabilizer,
+    stable_equivalent,
     torsor_compose,
     torsor_group,
     u_gamma,
@@ -338,14 +341,17 @@ def _other_element(original, ctx, x, y):
     return next(el for el in ctx.elements if el is not x)
 
 
+def _with_order_3(report, ctx):
+    return dataclasses.replace(report, order=3), ctx
+
+
 @pytest.mark.parametrize("spec, cls, level", NONTRIVIAL, ids=["alt4", "sym4"])
 @pytest.mark.parametrize("name, fault, message", [
     ("abelian_invariant_factors", lambda original, m, mul, e: [4],
      "invariant factors [4] at level {} do not multiply to 2"),
     ("torsor_compose", _other_element,
      "base point is not an identity for composition at level {}"),
-    ("_order_report", lambda original, G, context: dataclasses.replace(
-        original(G, context), order=3),
+    ("_order_report", lambda original, G, context: _with_order_3(*original(G, context)),
      "identity-evaluation slice at level {} has 2 classes but the counted order is 3"),
 ], ids=["factors", "identity", "slice"])
 def test_h2_structure_errors_name_the_level(spec, cls, level, name, fault, message, monkeypatch):
@@ -355,6 +361,35 @@ def test_h2_structure_errors_name_the_level(spec, cls, level, name, fault, messa
     G = build_builtin(spec)
     with pytest.raises(HomologyError, match=re.escape(message.format(level))):
         h2_structure(G, make_gamma(G, [G.index_of(cls)]), window=2)
+
+
+def test_h2_structure_counts_before_it_builds_the_torsor(monkeypatch):
+    # a count that is no multiple of |[G,G]| is reported as such, before the
+    # torsor's composition is built at twice the stable level
+    monkeypatch.setattr(hurwitz.homology, "commutator_subgroup",
+                        lambda G: types.SimpleNamespace(size=5))
+    G = build_builtin("alt:4")
+    with pytest.raises(HomologyError, match=re.escape(
+            "stable generating count 8 is not a positive multiple of |[G,G]| = 5; "
+            "level (0, 0, 6, 0) may be sub-stable")):
+        h2_order(G, make_gamma(G, [G.index_of("(123)")]), window=2)
+    # nothing past the search's last round (0, 0, 9, 0) was built
+    L = get_lattice(G)
+    assert max(L.level(x) for x in range(L.node_count())) == (0, 0, 9, 0)
+
+
+def test_h2_does_not_depend_on_earlier_shifts_of_narrower_domains():
+    # stable_equivalent shifts the classes containing <t> by (t, t) at the
+    # levels (0, 2k, 0); h2 of the transpositions shifts the generating
+    # classes there by the same step, t the least transposition, and must
+    # not read the other domain
+    G = build_builtin("sym:3")
+    gamma = make_gamma(G, [G.index_of("(12)")])
+    t, u = min(gamma.elements()), max(gamma.elements())
+    verdict = stable_equivalent(G, (t, t), (u, u), make_stabilizer(G, (t, t)))
+    assert verdict.equivalent is False
+    fresh = build_builtin("sym:3")
+    assert h2_structure(G, gamma, window=3) == h2_structure(fresh, gamma, window=3)
 
 
 def test_h2_structure_searches_for_its_stable_level_once(a4, a4_three_cycles, monkeypatch):

@@ -395,7 +395,8 @@ def test_memoised_shifts_match_fresh_folds():
         full = (1 << H.order) - 1
         # every stabiliser here generates the group, so domains are the
         # generating classes
-        for (word, nu), (domain, images) in L._level_shifts.items():
+        for (word, nu, sub), (domain, images) in L._level_shifts.items():
+            assert sub == full
             assert domain == tuple(x for x in L.classes_at(nu) if L.sub_bits(x) == full)
             assert images == tuple(L._shifts[word][x] for x in domain)
         checked = 0
