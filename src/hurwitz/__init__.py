@@ -49,12 +49,9 @@ from .homology import (
 )
 from .lattice import OrbitLattice, get_lattice
 from .marked import (
-    ActionFamily,
     MarkedClass,
     MarkedVector,
     enumerate_marked_classes,
-    marked_family,
-    marked_nielsen,
     marked_orbit,
     monoid_act,
 )

@@ -126,10 +126,6 @@ class OrbitClass:
     nu: tuple[int, ...]
     subgroup: SubgroupMask
 
-    @property
-    def length(self) -> int:
-        return len(self.canonical)
-
 
 def _check_entries(v: tuple[int, ...], n: int) -> None:
     """Raise ValueError unless every entry of ``v`` is an element index of a
@@ -138,6 +134,14 @@ def _check_entries(v: tuple[int, ...], n: int) -> None:
         if type(x) is not int or not 0 <= x < n:
             raise ValueError(
                 f"entry {x!r} at position {i} of {v} is not an element index in [0, {n})")
+
+
+def _check_counts(nu: tuple[int, ...], what: str) -> None:
+    """Raise ValueError unless every entry of the Nielsen type ``nu`` is a
+    non-negative int, not a bool or a float; ``what`` names ``nu``."""
+    for i, x in enumerate(nu):
+        if type(x) is not int or x < 0:
+            raise ValueError(f"{what} entry {x!r} at position {i} is not a non-negative int")
 
 
 def _closure(G: FiniteGroup, start: tuple[int, ...], cap: int,
@@ -266,9 +270,10 @@ def _check_method(method: str) -> None:
 class FiberSpec:
     """Constraints cutting out one fiber of the invariant maps.
 
-    ``nu`` is indexed by conjugacy-class id and must be supported on classes
-    contained in ``gamma``.  ``ev`` pins the evaluation; ``generated``
-    pins the generated subgroup exactly.
+    ``nu`` holds a non-negative int per conjugacy-class id and must be
+    supported on classes contained in ``gamma``.  ``ev`` pins the
+    evaluation; ``generated`` pins the generated subgroup exactly.
+    `validate` checks all but ``generated``, and every reader calls it.
     """
 
     nu: tuple[int, ...]
@@ -280,13 +285,12 @@ class FiberSpec:
         ct = G.classes
         if len(self.nu) != ct.count:
             raise ValueError(f"nu has {len(self.nu)} entries, group has {ct.count} classes")
-        if any(c < 0 for c in self.nu):
-            raise ValueError("nu entries must be nonnegative")
+        _check_counts(self.nu, "nu")
         for cid, count in enumerate(self.nu):
             if count > 0 and cid not in self.gamma.class_ids:
                 raise ValueError(f"nu places {count} entries on class {cid} outside gamma")
-        if self.ev is not None and not (0 <= self.ev < G.order):
-            raise ValueError(f"evaluation {self.ev} out of range")
+        if self.ev is not None and (type(self.ev) is not int or not 0 <= self.ev < G.order):
+            raise ValueError(f"evaluation {self.ev!r} is not an element index in [0, {G.order})")
 
     @property
     def length(self) -> int:
@@ -312,6 +316,7 @@ def fiber_size(G: FiniteGroup, spec: FiberSpec) -> int:
     """Number of raw tuples with the spec's Nielsen type (ev ignored)."""
     from math import comb
 
+    spec.validate(G)
     ct = G.classes
     total = 1
     remaining = spec.length

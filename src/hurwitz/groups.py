@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations as _all_permutations, repeat
+from itertools import permutations as _all_permutations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -121,9 +121,6 @@ class FiniteGroup:
             acc = self.mul[acc][a]
         return acc
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def index_of(self, name: str) -> int:
         if self.names is None:
             raise KeyError(name)
@@ -174,13 +171,14 @@ def _validate_table(mul: list[list[int]]) -> None:
     n = len(mul)
     if n < 1:
         raise GroupTableError("group order must be positive")
+    ints_only = {int}.issuperset  # exact type: a bool is no element index
     for i, row in enumerate(mul):
         if len(row) != n:
             raise GroupTableError(f"row {i} has length {len(row)}, expected {n}")
-        if all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n:
+        if ints_only(map(type, row)) and 0 <= min(row) and max(row) < n:
             continue  # the whole row at C speed; the loop below names a bad entry
         for j, x in enumerate(row):
-            if not isinstance(x, int) or not (0 <= x < n):
+            if type(x) is not int or not (0 <= x < n):
                 raise GroupTableError(f"entry mul[{i}][{j}] = {x!r} out of range")
     for x in range(n):
         if mul[0][x] != x or mul[x][0] != x:
@@ -539,7 +537,7 @@ def build_from_table(doc: dict | str) -> FiniteGroup:
         raise ParseError("group document needs 'order' and 'mul' fields")
     order = doc["order"]
     mul = doc["mul"]
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise GroupTableError(f"bad order {order!r}")
     if order > MAX_ORDER:
         raise GroupTableError(f"order {order} exceeds supported maximum {MAX_ORDER}")
@@ -570,8 +568,12 @@ def load_group(spec_or_path: str) -> FiniteGroup:
     import os
 
     if os.path.exists(spec_or_path):
-        with open(spec_or_path, "r", encoding="utf-8") as fh:
-            g = build_from_table(fh.read())
+        try:
+            with open(spec_or_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ParseError(f"cannot read group file {spec_or_path!r}: {e.strerror}") from None
+        g = build_from_table(text)
         g.label = os.path.splitext(os.path.basename(spec_or_path))[0]
         return g
     return build_builtin(spec_or_path)

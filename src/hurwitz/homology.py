@@ -92,28 +92,55 @@ def _class_steps(G: FiniteGroup, gamma: GammaSet) -> list[Stabilizer]:
     return [make_stabilizer(G, (least[c],) * orders[least[c]]) for c in gamma.class_ids]
 
 
-def _stable_context(G: FiniteGroup, gamma: GammaSet, window: int, confirm: int, caps: Caps):
-    """Search for the stable level once; the invariant is read off it.
+def _stable_torsor(G: FiniteGroup, gamma: GammaSet, window: int, confirm: int,
+                   caps: Caps) -> tuple[H2Report, TorsorContext]:
+    """Search for the stable level once, run the count checks on it, and only
+    then build the torsor; every entry point reads the invariant off this.
 
-    Returns the search's report over per-class rounds, the lattice, the
-    stable level (the report's level at its bound), the shift word s, and
-    the classes at the level that generate the whole group, which are the
-    domain of every step leaving the level.
+    The stable level is the search's level at its bound, its classes that
+    generate the whole group are the domain of every step leaving it, and
+    the shift word s is the concatenated steps repeated bound + 1 times.
     """
     _check_window(window, confirm)
     steps = _class_steps(G, gamma)
     word = tuple(g for s in steps for g in s.vector)
-    report = _search_rounds(G, nielsen(G, word), steps, window, confirm, caps)
-    if report.bound is None:
-        message = f"no stable level found within window {window}: {report.error}"
-        if report.levels:
-            message += (f"; last level explored {report.levels[-1].nu}, generating classes "
-                        f"per round {[lv.generating_count for lv in report.levels]}")
+    search = _search_rounds(G, nielsen(G, word), steps, window, confirm, caps)
+    if search.bound is None:
+        message = f"no stable level found within window {window}: {search.error}"
+        if search.levels:
+            message += (f"; last level explored {search.levels[-1].nu}, generating classes "
+                        f"per round {[lv.generating_count for lv in search.levels]}")
         raise HomologyError(message)
-    level = report.levels[report.bound].nu
+    level = search.levels[search.bound].nu
     L = get_lattice(G, caps)
     nodes, _ = L.shift_level(level, steps[0].vector, (1 << G.order) - 1)
-    return report, L, level, word * (report.bound + 1), nodes
+    comm = commutator_subgroup(G).size
+    count = len(nodes)
+    if count == 0 or count % comm != 0:
+        raise HomologyError(
+            f"stable generating count {count} is not a positive multiple of "
+            f"|[G,G]| = {comm}; level {level} may be sub-stable")
+    order = count // comm
+    cross = search.levels[search.bound + 1]  # the search counted the next round
+    if cross.generating_count != count:
+        raise HomologyError(f"count {cross.generating_count} at cross-check level "
+                            f"{cross.nu} differs from {count}")
+    by_ev = Counter(L.ev(x) for x in nodes)
+    if len(by_ev) != comm or any(c != order for c in by_ev.values()):
+        raise HomologyError(
+            f"evaluation slices at {level} are uneven: {sorted(by_ev.items())}")
+    torsor = _torsor(L, level, word * (search.bound + 1), nodes)
+    return H2Report(
+        order=order,
+        structure=None,
+        stable_level=level,
+        cross_checks=((cross.nu, cross.generating_count),),
+        commutator_order=comm,
+        slice_counts=tuple(sorted(by_ev.items())),
+        base_point=torsor.base.cls.canonical,
+        bound=search.bound,
+        confident=search.confident,
+    ), torsor
 
 
 def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
@@ -125,44 +152,14 @@ def h2_order(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
     the next round's level and per evaluation slice.  The base point comes
     from the torsor, which is built only once the counts have passed.
     """
-    return _order_report(G, _stable_context(G, gamma, window, confirm, caps))[0]
-
-
-def _order_report(G: FiniteGroup, context) -> tuple[H2Report, TorsorContext]:
-    report, L, level, shift, nodes = context
-    comm = commutator_subgroup(G).size
-    count = len(nodes)
-    if count == 0 or count % comm != 0:
-        raise HomologyError(
-            f"stable generating count {count} is not a positive multiple of "
-            f"|[G,G]| = {comm}; level {level} may be sub-stable")
-    order = count // comm
-    cross = report.levels[report.bound + 1]  # the search counted the next round
-    if cross.generating_count != count:
-        raise HomologyError(f"count {cross.generating_count} at cross-check level "
-                            f"{cross.nu} differs from {count}")
-    by_ev = Counter(L.ev(x) for x in nodes)
-    if len(by_ev) != comm or any(c != order for c in by_ev.values()):
-        raise HomologyError(
-            f"evaluation slices at {level} are uneven: {sorted(by_ev.items())}")
-    torsor = _torsor(L, level, shift, nodes)
-    return H2Report(
-        order=order,
-        structure=None,
-        stable_level=level,
-        cross_checks=((cross.nu, cross.generating_count),),
-        commutator_order=comm,
-        slice_counts=tuple(sorted(by_ev.items())),
-        base_point=torsor.base.cls.canonical,
-        bound=report.bound,
-        confident=report.confident,
-    ), torsor
+    return _stable_torsor(G, gamma, window, confirm, caps)[0]
 
 
 def torsor_group(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
                  confirm: int = DEFAULT_CONFIRM, caps: Caps = DEFAULT_CAPS) -> TorsorContext:
-    """Identity-evaluation slice at a stable level, with its base point."""
-    return _torsor(*_stable_context(G, gamma, window, confirm, caps)[1:])
+    """Identity-evaluation slice at a stable level, with its base point;
+    raises HomologyError where `h2_order` does."""
+    return _stable_torsor(G, gamma, window, confirm, caps)[1]
 
 
 def _torsor(L: OrbitLattice, level: tuple[int, ...], shift: tuple[int, ...],
@@ -242,7 +239,7 @@ def abelian_invariant_factors(order: int, mul, identity: int) -> list[int]:
 def h2_structure(G: FiniteGroup, gamma: GammaSet, window: int = DEFAULT_WINDOW,
                  confirm: int = DEFAULT_CONFIRM, caps: Caps = DEFAULT_CAPS) -> H2Report:
     """Full invariant-factor decomposition via the torsor composition law."""
-    report, ctx = _order_report(G, _stable_context(G, gamma, window, confirm, caps))
+    report, ctx = _stable_torsor(G, gamma, window, confirm, caps)
     m = len(ctx.elements)
     if m != report.order:
         raise HomologyError(

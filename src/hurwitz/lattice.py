@@ -30,9 +30,9 @@ which is also an index into the one append table, `_next`: a flat list with
 a row of n slots per node, appended when the node is built.  Slot c * n + a
 holds the row base t * n of the class t of rep(c) + (a,), or -1 while that
 class is unbuilt, so every state of every class built is a filled slot
-pointing at its own row.  The folds (`append`, `append_word`, `_new_class`)
-run on row bases, test a miss with `< 0` and divide by n once when they
-return; every public method takes and returns node ids.
+pointing at its own row.  The folds (`append_word`, `_new_class`) run on
+row bases, test a miss with `< 0` and divide by n once when they return;
+every public method takes and returns node ids.
 Row bases are the shared int objects of `_bases`, so a slot costs one
 pointer.  A node keeps its states in sorted order as two fields: `_pre`, a
 tuple of the prefix row bases (again the `_bases` objects), and `_let`,
@@ -98,7 +98,7 @@ of the level's classes whose subgroup contains the given one.
 
 from __future__ import annotations
 
-from .braid import Caps, DEFAULT_CAPS, OrbitClass, _check_entries
+from .braid import Caps, DEFAULT_CAPS, OrbitClass, _check_counts, _check_entries
 from .errors import CapExceeded
 from .groups import FiniteGroup, SubgroupMask, closure_bits
 
@@ -226,15 +226,6 @@ class OrbitLattice:
         """Let the lattice grow by at most ``limit`` nodes from its current size."""
         self._cap_base = len(self._size)
         self.max_nodes = self._cap_base + limit
-
-    def append(self, node: int, g: int) -> int:
-        """Class of rep(node) + (g,): the one-letter extension."""
-        # the builder lives apart so that a table hit runs in a short frame
-        n = self._n
-        hit = self._next[node * n + g]
-        if hit < 0:
-            hit = self._new_class(node * n, g)
-        return hit // n
 
     def _new_class(self, base: int, g: int, orbit: bool = False) -> int:
         """Build the class of rep(base // n) + (g,), whose slot is unfilled.
@@ -395,7 +386,7 @@ class OrbitLattice:
         return t
 
     def append_word(self, node: int, word: tuple[int, ...]) -> int:
-        """Class of rep(node) + word: the table fold, `append` inlined per letter.
+        """Class of rep(node) + word: the table fold, one letter at a time.
 
         A hit costs one list subscript and no call; only a miss calls
         `_new_class`.
@@ -475,6 +466,9 @@ class OrbitLattice:
 
         The set at nu extends the one at nu - e_p by the members of class p,
         the first class nu counts; each level of that chain is memoised.
+        A level that misses the memo must hold non-negative ints, or
+        ValueError names the first entry that does not (1.5 would walk the
+        chain below zero).
         """
         nu = tuple(nu)
         if len(nu) != self._nclasses:
@@ -483,8 +477,7 @@ class OrbitLattice:
         hit = memo.get(nu)
         if hit is not None:
             return hit
-        if any(c < 0 for c in nu):
-            raise ValueError("negative Nielsen count")
+        _check_counts(nu, "level")
         chain = []
         while hit is None:
             pivot = next(i for i, c in enumerate(nu) if c)

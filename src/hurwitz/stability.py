@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import Caps, DEFAULT_CAPS, _check_entries, evaluate, nielsen
+from .braid import Caps, DEFAULT_CAPS, _check_counts, _check_entries, evaluate, nielsen
 from .groups import FiniteGroup, GammaSet, subgroup_closure
 from .lattice import get_lattice
 
@@ -140,9 +140,7 @@ def find_stability_bound(G: FiniteGroup, gamma: GammaSet,
     elif len(nu0) != G.classes.count:
         raise ValueError(f"nu0 has {len(nu0)} entries, expected one per "
                          f"conjugacy class: {G.classes.count}")
-    for i, x in enumerate(nu0):
-        if type(x) is not int or x < 0:
-            raise ValueError(f"nu0 entry {x!r} at position {i} is not a non-negative int")
+    _check_counts(nu0, "nu0")
     return _search_rounds(G, tuple(nu0), [u], window, confirm, caps)
 
 

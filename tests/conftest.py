@@ -72,6 +72,8 @@ MALFORMED_TABLES = [
     {"order": 2, "mul": [[0, 1], [1, 0]], "names": 5},
     {"order": 2, "mul": [[0, 1], [1, 0]], "names": ["e", 7]},
     {"order": 2, "mul": [[0, 1], [1, 0]], "names": ["e", "e"]},
+    {"order": 2, "mul": [[0, 1], [1, False]]},  # a bool is no element index
+    {"order": True, "mul": [[0]]},
 ]
 
 

@@ -24,7 +24,6 @@ from hurwitz import (
     h2_order,
     adj_word_equal,
     make_gamma,
-    marked_family,
     MarkedVector,
     monoid_act,
     nielsen,
@@ -326,20 +325,19 @@ def test_criterion_10_marked_covers(s3, s3_transpositions, s3_all, announce):
     for spec in fibers:
         tails = enumerate_classes(s3, spec)
         for k in (1, 2):
-            classes = enumerate_marked_classes(s3, marked_family(k), spec)
+            classes = enumerate_marked_classes(s3, k, spec)
             assert len(classes) == 6 ** k * len(tails)
 
-    fam = marked_family(1)
     small = [t for d in range(0, 3) for t in itertools.product(range(6), repeat=d)]
     checked = 0
     for tail in small:
         base_by_v = {}
         for v in small:
-            base_by_v[v] = monoid_act(s3, fam, MarkedVector((2,), tail), v).canonical
+            base_by_v[v] = monoid_act(s3, MarkedVector((2,), tail), v).canonical
         for t2 in orbit_members(s3, tail):
             for v in small:
                 for v2 in orbit_members(s3, v):
-                    got = monoid_act(s3, fam, MarkedVector((2,), t2), tuple(v2)).canonical
+                    got = monoid_act(s3, MarkedVector((2,), t2), tuple(v2)).canonical
                     assert got == base_by_v[v]
                     checked += 1
     announce(10, f"marked counts factor as |G|^k x tails; action independent of representatives ({checked} checks)")

@@ -2,12 +2,14 @@
 
 import dataclasses
 import inspect
+import pathlib
+import re
 import types
 
 import hurwitz
 from hurwitz import (
-    ActionFamily,
     FiberSpec,
+    MarkedVector,
     Stabilizer,
     adj_word_equal,
     enumerate_marked_classes,
@@ -15,14 +17,14 @@ from hurwitz import (
     format_tuple,
     h2_order,
     h2_structure,
-    marked_nielsen,
     marked_orbit,
+    monoid_act,
     nielsen,
     orbit_members,
 )
 
 PUBLIC = {
-    "ActionFamily", "CapExceeded", "Caps", "ConjClassTable", "FiberSpec", "FiniteGroup",
+    "CapExceeded", "Caps", "ConjClassTable", "FiberSpec", "FiniteGroup",
     "GammaSet", "GroupTableError", "H2Report", "HomologyError",
     "HurwitzError", "MarkedClass", "MarkedVector", "OrbitClass", "OrbitLattice",
     "ParseError", "StabilityLevel", "StabilityReport", "StableEqResult", "Stabilizer",
@@ -31,8 +33,8 @@ PUBLIC = {
     "commutator_subgroup", "enumerate_classes", "enumerate_marked_classes", "evaluate",
     "factor_witness", "fiber_size", "find_stability_bound", "format_tuple",
     "generated_subgroup", "get_lattice", "h2_order", "h2_structure",
-    "load_group", "make_gamma", "make_stabilizer", "marked_family", "marked_nielsen",
-    "marked_orbit", "monoid_act", "nielsen", "orbit", "orbit_members", "parse_tuple",
+    "load_group", "make_gamma", "make_stabilizer", "marked_orbit", "monoid_act", "nielsen",
+    "orbit", "orbit_members", "parse_tuple",
     "sigma", "sigma_inv", "stable_equivalent", "subgroup_closure", "to_table_doc",
     "torsor_compose", "torsor_group", "u_gamma",
 }
@@ -41,9 +43,9 @@ PARAMETERS = {
     nielsen: ["G", "v"],
     format_tuple: ["G", "v"],
     orbit_members: ["G", "v", "max_states"],
-    marked_nielsen: ["G", "mv"],
-    marked_orbit: ["G", "family", "mv", "caps"],
-    enumerate_marked_classes: ["G", "family", "tail_spec", "prefixes", "caps"],
+    marked_orbit: ["G", "mv", "caps"],
+    monoid_act: ["G", "x", "v", "caps"],
+    enumerate_marked_classes: ["G", "k", "tail_spec", "prefixes", "caps"],
     find_stability_bound: ["G", "gamma", "nu0", "window", "confirm", "caps"],
     adj_word_equal: ["G", "gamma", "v", "w", "window", "confirm", "caps"],
     h2_order: ["G", "gamma", "window", "confirm", "caps"],
@@ -51,8 +53,8 @@ PARAMETERS = {
 }
 
 FIELDS = {
-    ActionFamily: ["prefix_len"],
     FiberSpec: ["nu", "gamma", "ev", "generated"],
+    MarkedVector: ["prefix", "tail"],
     Stabilizer: ["vector", "nu", "ev", "sub"],
 }
 
@@ -67,3 +69,13 @@ def test_parameter_lists_are_pinned():
     got = {f: list(inspect.signature(f).parameters) for f in PARAMETERS}
     assert got == PARAMETERS
     assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in FIELDS} == FIELDS
+
+
+def test_readme_python_blocks_run():
+    """Every fenced Python block of the README runs on its own, so a change
+    of the API cannot leave the README's examples stale."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

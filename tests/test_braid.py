@@ -19,6 +19,7 @@ from hurwitz import (
     fiber_size,
     format_tuple,
     generated_subgroup,
+    get_lattice,
     make_gamma,
     nielsen,
     orbit,
@@ -28,7 +29,7 @@ from hurwitz import (
     sigma_inv,
     to_table_doc,
 )
-from hurwitz.braid import Caps, iter_fiber_tuples
+from hurwitz.braid import METHODS, Caps, iter_fiber_tuples
 from conftest import bench_oracles, el, two_sided_orbit
 
 
@@ -335,6 +336,37 @@ def test_fiber_spec_validation(s3, s3_transpositions):
         spec.validate(s3)
     with pytest.raises(ValueError):
         FiberSpec(nu=(0, 2), gamma=s3_transpositions).validate(s3)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, -1, "2"], ids=repr)
+def test_nielsen_counts_must_be_non_negative_ints(bad):
+    # 1.5 walked the chain of `classes_at` below zero without end; 2.0 and
+    # True were served as 2 and 1
+    G = build_builtin("sym:3")  # a fresh lattice, with no level memoised
+    spec = FiberSpec(nu=(0, bad, 0), gamma=make_gamma(G, "all-nontrivial"))
+    msg = re.escape(f"entry {bad!r} at position 1 is not a non-negative int")
+    for method in METHODS:
+        with pytest.raises(ValueError, match=msg):
+            enumerate_classes(G, spec, method=method)
+    with pytest.raises(ValueError, match=msg):
+        fiber_size(G, spec)
+    L = get_lattice(G)
+    with pytest.raises(ValueError, match=msg):
+        L.classes_at((0, bad, 0))
+    assert L.node_count() == 1
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 6, -1], ids=repr)
+def test_fiber_evaluation_must_be_an_element_index(s3, s3_all, bad):
+    spec = FiberSpec(nu=(0, 2, 0), gamma=s3_all, ev=bad)
+    with pytest.raises(ValueError, match=re.escape(f"evaluation {bad!r} is not an element index")):
+        enumerate_classes(s3, spec)
+
+
+def test_fiber_size_checks_the_length_of_its_type(s3, s3_all):
+    # a two-entry type of a three-class group was counted as 9 tuples
+    with pytest.raises(ValueError, match="nu has 2 entries, group has 3 classes"):
+        fiber_size(s3, FiberSpec(nu=(0, 2), gamma=s3_all))
 
 
 # (group, gamma) pairs for the brute fiber oracle; each gamma keeps

@@ -186,6 +186,14 @@ def test_malformed_table_file_exits_2(tmp_path, capsys, doc):
     assert err.startswith("error:")
 
 
+def test_unreadable_group_path_exits_2(tmp_path, capsys):
+    # a directory exists but cannot be read: exit 2, not the "false" code 1
+    code, out, err = run_cli(capsys, "orbit", "--group", str(tmp_path), "--tuple", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read group file ") and str(tmp_path) in err
+
+
 def test_gamma_splits_on_top_level_commas_only():
     G = build_builtin("sym:3xcyclic:2")
     want = make_gamma(G, [G.index_of("((12),1)"), G.index_of("((123),0)")])

@@ -351,7 +351,7 @@ def _with_order_3(report, ctx):
      "invariant factors [4] at level {} do not multiply to 2"),
     ("torsor_compose", _other_element,
      "base point is not an identity for composition at level {}"),
-    ("_order_report", lambda original, G, context: _with_order_3(*original(G, context)),
+    ("_stable_torsor", lambda original, *args: _with_order_3(*original(*args)),
      "identity-evaluation slice at level {} has 2 classes but the counted order is 3"),
 ], ids=["factors", "identity", "slice"])
 def test_h2_structure_errors_name_the_level(spec, cls, level, name, fault, message, monkeypatch):
@@ -376,6 +376,20 @@ def test_h2_structure_counts_before_it_builds_the_torsor(monkeypatch):
     # nothing past the search's last round (0, 0, 9, 0) was built
     L = get_lattice(G)
     assert max(L.level(x) for x in range(L.node_count())) == (0, 0, 9, 0)
+
+
+def test_torsor_group_runs_the_checks_of_h2_order(monkeypatch):
+    # torsor_group reads the same stable level as h2_order, so a count that
+    # fails there fails here too, before any composition is built
+    monkeypatch.setattr(hurwitz.homology, "commutator_subgroup",
+                        lambda G: types.SimpleNamespace(size=5))
+    G = build_builtin("alt:4")
+    gamma = make_gamma(G, [G.index_of("(123)")])
+    with pytest.raises(HomologyError, match="stable generating count 8") as order_error:
+        h2_order(G, gamma, window=2)
+    with pytest.raises(HomologyError) as torsor_error:
+        torsor_group(G, gamma, window=2)
+    assert str(torsor_error.value) == str(order_error.value)
 
 
 def test_h2_does_not_depend_on_earlier_shifts_of_narrower_domains():

@@ -235,7 +235,7 @@ def test_append_word_matches_append_fold(d4):
     for word in words:
         node = 0
         for g in word:
-            node = folded.append(node, g)
+            node = folded.append_word(node, (g,))
         assert inlined.append_word(0, word) == node
         assert inlined.node_count() == folded.node_count()
 
@@ -280,10 +280,10 @@ def test_failed_build_leaves_the_node_lists_in_step(s3):
     # a letter outside the group makes the build raise after its closure;
     # no per-node list may have grown for it, or every later node would
     # read another node's subgroup and level.  `class_of` rejects such a
-    # letter at entry, so the internal `append` is driven with it directly.
+    # letter at entry, so the inner fold `append_word` is driven with it directly.
     L = OrbitLattice(s3)
     with pytest.raises(ValueError):
-        L.append(L.class_of((1,)), -1)
+        L.append_word(L.class_of((1,)), (-1,))
     lists = (L._bases, L._pre, L._let, L._size, L._canon, L._ev, L._sub, L._level_id, *L._conj)
     assert {len(x) for x in lists} == {L.node_count()}
     assert_memo_matches_states(L)

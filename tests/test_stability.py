@@ -232,7 +232,7 @@ def test_invariable_generation_makes_full_fibers_biject(s3, s3_all):
         cid = s3.classes.class_of[g]
         target = base[:cid] + (base[cid] + 1,) + base[cid + 1:]
         domain = L.classes_at(base)
-        images = [L.append(x, g) for x in domain]
+        images = [L.append_word(x, (g,)) for x in domain]
         assert len(set(images)) == len(domain)
         assert set(images) == set(L.classes_at(target))
 
