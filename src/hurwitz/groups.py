@@ -74,10 +74,6 @@ class GammaSet:
     def __contains__(self, x: int) -> bool:
         return bool((self.bits >> x) & 1)
 
-    @property
-    def size(self) -> int:
-        return self.bits.bit_count()
-
     def elements(self) -> list[int]:
         return [x for x in range(self.order) if (self.bits >> x) & 1]
 
@@ -102,24 +98,12 @@ class FiniteGroup:
         self._conj_table: list[list[int]] | None = None
         self._classes: ConjClassTable | None = None
         self._orders: list[int] | None = None
-        self._commutator: SubgroupMask | None = None
 
     # -- basic arithmetic ------------------------------------------------
-
-    def prod(self, a: int, b: int) -> int:
-        return self.mul[a][b]
 
     def conj(self, a: int, b: int) -> int:
         """b^-1 a b."""
         return self.mul[self.mul[self.inv[b]][a]][b]
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv[a], -k
-        acc = 0
-        for _ in range(k):
-            acc = self.mul[acc][a]
-        return acc
 
     def index_of(self, name: str) -> int:
         if self.names is None:
@@ -297,11 +281,9 @@ def closure_bits(mul: list[list[int]], bits: int, extra: int) -> int:
 
 def commutator_subgroup(G: FiniteGroup) -> SubgroupMask:
     """Closure of all commutators a^-1 b^-1 a b."""
-    if G._commutator is None:
-        mul, inv, n = G.mul, G.inv, G.order
-        comms = {mul[mul[mul[inv[a]][inv[b]]][a]][b] for a in range(n) for b in range(n)}
-        G._commutator = subgroup_closure(G, comms)
-    return G._commutator
+    mul, inv, n = G.mul, G.inv, G.order
+    comms = {mul[mul[mul[inv[a]][inv[b]]][a]][b] for a in range(n) for b in range(n)}
+    return subgroup_closure(G, comms)
 
 
 def make_gamma(G: FiniteGroup, class_reps: Iterable[int] | str) -> GammaSet:

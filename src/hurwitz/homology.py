@@ -104,7 +104,8 @@ def _stable_torsor(G: FiniteGroup, gamma: GammaSet, window: int, confirm: int,
     _check_window(window, confirm)
     steps = _class_steps(G, gamma)
     word = tuple(g for s in steps for g in s.vector)
-    search = _search_rounds(G, nielsen(G, word), steps, window, confirm, caps)
+    L = get_lattice(G, caps)
+    search = _search_rounds(G, L, nielsen(G, word), steps, window, confirm)
     if search.bound is None:
         message = f"no stable level found within window {window}: {search.error}"
         if search.levels:
@@ -112,7 +113,6 @@ def _stable_torsor(G: FiniteGroup, gamma: GammaSet, window: int, confirm: int,
                         f"per round {[lv.generating_count for lv in search.levels]}")
         raise HomologyError(message)
     level = search.levels[search.bound].nu
-    L = get_lattice(G, caps)
     nodes, _ = L.shift_level(level, steps[0].vector, (1 << G.order) - 1)
     comm = commutator_subgroup(G).size
     count = len(nodes)

@@ -125,10 +125,9 @@ class OrbitLattice:
         self._size: list[int] = []
         self._ev: list[int] = []
         self._sub: list[int] = []
-        self._level_id: list[int] = []
+        self._level: list[tuple[int, ...]] = []  # interned through _levels
         self._canon: list = []
-        self._levels: dict[tuple[int, ...], int] = {}
-        self._level_list: list[tuple[int, ...]] = []
+        self._levels: dict[tuple[int, ...], tuple[int, ...]] = {}
         # the append table: slot c * n + a holds the row base of the class
         # of rep(c) + (a,), or -1 while it is unbuilt
         self._next: list[int] = []
@@ -161,8 +160,7 @@ class OrbitLattice:
         empty = self._word_of()
         # node 0: the empty tuple's class
         zero = (0,) * self._nclasses
-        self._levels[zero] = 0
-        self._level_list.append(zero)
+        self._levels[zero] = zero
         self._bases.append(0)
         self._pre.append(())
         self._let.append(empty)
@@ -170,7 +168,7 @@ class OrbitLattice:
         self._size.append(1)
         self._ev.append(0)
         self._sub.append(1)  # {identity}
-        self._level_id.append(0)
+        self._level.append(zero)
         self._canon.append(empty)
         self._classes_at[zero] = (0,)
         self.limit_new_nodes(DEFAULT_CAPS.lattice_nodes)
@@ -178,7 +176,7 @@ class OrbitLattice:
     # -- accessors ---------------------------------------------------------
 
     def level(self, node: int) -> tuple[int, ...]:
-        return self._level_list[self._level_id[node]]
+        return self._level[node]
 
     def size(self, node: int) -> int:
         return self._size[node]
@@ -205,14 +203,6 @@ class OrbitLattice:
         )
 
     # -- construction --------------------------------------------------------
-
-    def _level_index(self, level: tuple[int, ...]) -> int:
-        lid = self._levels.get(level)
-        if lid is None:
-            lid = len(self._level_list)
-            self._levels[level] = lid
-            self._level_list.append(level)
-        return lid
 
     def _subgroup_with(self, bits: int, g: int) -> int:
         key = (bits, g)
@@ -261,7 +251,7 @@ class OrbitLattice:
                     push(s)
         states = sorted(seen)
         node = base // n
-        base_level = self.level(node)
+        base_level = self._level[node]
         cid = self._class_of[g]
         level = base_level[:cid] + (base_level[cid] + 1,) + base_level[cid + 1 :]
         ev = self._mul[self._ev[node]][g]
@@ -282,7 +272,7 @@ class OrbitLattice:
         if nid >= self.max_nodes:
             raise CapExceeded(f"class lattice exceeds node cap at level {level}",
                               nid - self._cap_base, "new nodes")
-        lid = self._level_index(level)
+        level = self._levels.setdefault(level, level)
         mine = nid * n
         for cmap in self._conj:
             cmap.append(-1)
@@ -308,7 +298,7 @@ class OrbitLattice:
         canon.append(best)
         self._ev.append(ev)
         self._sub.append(sub)
-        self._level_id.append(lid)
+        self._level.append(level)
         self._next += self._empty_row
         # every state of the class is itself a one-letter extension landing here
         nxt = self._next
@@ -466,18 +456,18 @@ class OrbitLattice:
 
         The set at nu extends the one at nu - e_p by the members of class p,
         the first class nu counts; each level of that chain is memoised.
-        A level that misses the memo must hold non-negative ints, or
-        ValueError names the first entry that does not (1.5 would walk the
-        chain below zero).
+        A level must hold non-negative ints, or ValueError names the first
+        entry that does not (1.5 would walk the chain below zero), before
+        the memo is read: True and 1.0 equal 1 as keys.
         """
         nu = tuple(nu)
         if len(nu) != self._nclasses:
             raise ValueError(f"level has {len(nu)} entries, group has {self._nclasses} classes")
+        _check_counts(nu, "level")
         memo = self._classes_at
         hit = memo.get(nu)
         if hit is not None:
             return hit
-        _check_counts(nu, "level")
         chain = []
         while hit is None:
             pivot = next(i for i, c in enumerate(nu) if c)
@@ -507,6 +497,8 @@ def get_lattice(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> OrbitLattice:
 
     ``caps.lattice_nodes`` bounds the nodes the caller's work may add from
     here on; nodes that earlier calls left behind do not count against it.
+    Each public call fetches its lattice once, before its work, so the
+    budget covers the whole call: an `h2` search and its torsor together.
     """
     lat = getattr(G, "_lattice", None)
     if lat is None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .braid import Caps, DEFAULT_CAPS, _check_counts, _check_entries, evaluate, nielsen
 from .groups import FiniteGroup, GammaSet, subgroup_closure
-from .lattice import get_lattice
+from .lattice import OrbitLattice, get_lattice
 
 DEFAULT_WINDOW = 4
 DEFAULT_EQ_WINDOW = DEFAULT_WINDOW * 2
@@ -141,7 +141,7 @@ def find_stability_bound(G: FiniteGroup, gamma: GammaSet,
         raise ValueError(f"nu0 has {len(nu0)} entries, expected one per "
                          f"conjugacy class: {G.classes.count}")
     _check_counts(nu0, "nu0")
-    return _search_rounds(G, tuple(nu0), [u], window, confirm, caps)
+    return _search_rounds(G, get_lattice(G, caps), tuple(nu0), [u], window, confirm)
 
 
 def _check_window(window: int, confirm: int) -> None:
@@ -151,8 +151,8 @@ def _check_window(window: int, confirm: int) -> None:
         raise ValueError(f"window must be non-negative, got {window}")
 
 
-def _search_rounds(G: FiniteGroup, nu0: tuple[int, ...], steps: list[Stabilizer],
-                  window: int, confirm: int, caps: Caps) -> StabilityReport:
+def _search_rounds(G: FiniteGroup, L: OrbitLattice, nu0: tuple[int, ...],
+                   steps: list[Stabilizer], window: int, confirm: int) -> StabilityReport:
     """Explore rounds nu0 + n * step, n = 0..window, where step is the sum
     of the steps' Nielsen types, and find where every step bijects.
 
@@ -160,13 +160,13 @@ def _search_rounds(G: FiniteGroup, nu0: tuple[int, ...], steps: list[Stabilizer]
     the round is bijective when each map is a bijection onto the generating
     classes at the level plus that step's type.  ``bound`` and
     ``confident`` are read off the rounds as `find_stability_bound`
-    describes; the caller checks ``window`` and ``confirm``.
+    describes; the caller checks ``window`` and ``confirm`` and fetches
+    ``L``, G's lattice, with its caps.
     """
     step = tuple(map(sum, zip(*(s.nu for s in steps))))
     if window < 1:
         return StabilityReport(nu0, step, window, confirm, (), None, False,
                                error="window must cover at least one append map")
-    L = get_lattice(G, caps)
     full = (1 << G.order) - 1
 
     generating: dict[tuple[int, ...], set[int]] = {}

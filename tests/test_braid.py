@@ -99,7 +99,7 @@ def test_evaluate_example(s3):
 def test_evaluate_is_monoid_hom(a, b):
     G = build_builtin("sym:3")
     v, w = tuple(a), tuple(b)
-    assert evaluate(G, v + w) == G.prod(evaluate(G, v), evaluate(G, w))
+    assert evaluate(G, v + w) == G.mul[evaluate(G, v)][evaluate(G, w)]
 
 
 def test_nielsen_examples(s3):

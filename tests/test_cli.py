@@ -267,6 +267,18 @@ def test_classes_cap_exceeded_exits_3(capsys):
     assert "cap" in err
 
 
+def test_h2_cap_covers_its_search_and_its_torsor(capsys):
+    # one budget for the whole call: a fresh alt:4 (123) run at window 2
+    # adds 117 nodes, its search and its torsor together
+    argv = ("h2", "--group", "alt:4", "--gamma", "(123)", "--window", "2")
+    code, uncapped, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, "--caps", "nodes=116")
+    assert (code, out) == (3, "")
+    assert "node cap at level (0, 0, 12, 0) (visited 116 new nodes)" in err
+    assert run_cli(capsys, *argv, "--caps", "nodes=117")[:2] == (0, uncapped)
+
+
 def test_classes_trust_no_file_in_the_environment(tmp_path, capsys, monkeypatch):
     # a fiber entry edited to a tuple outside the fiber, at the path and in
     # the format an earlier per-fiber cache read, must not reach the output

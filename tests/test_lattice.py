@@ -12,6 +12,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hurwitz
 from hurwitz import (
     CapExceeded,
     Caps,
@@ -81,6 +82,15 @@ def test_classes_at_matches_direct_enumeration(s3, d4, q8):
             nodes = L.classes_at(nu)
             assert [L.canonical(n) for n in nodes] == [c.canonical for c in direct]
             assert [L.size(n) for n in nodes] == [c.size for c in direct]
+
+
+def test_classes_at_checks_a_level_before_its_memo(s3):
+    # True and 1.0 equal 1 as dict keys; a built level must not let them in
+    L = OrbitLattice(s3)
+    L.classes_at((0, 1, 0))
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match=f"level entry {bad!r} at position 1"):
+            L.classes_at((0, bad, 0))
 
 
 def test_classes_at_empty_level(s3):
@@ -157,6 +167,13 @@ def test_lattice_rebuild_is_deterministic(s3):
     nu = (0, 3, 2)
     assert [a.canonical(n) for n in a.classes_at(nu)] == [b.canonical(n) for n in b.classes_at(nu)]
     assert [a.size(n) for n in a.classes_at(nu)] == [b.size(n) for n in b.classes_at(nu)]
+
+
+def level_ids(L):
+    """Each node's level numbered in order of first appearance, so that the
+    digests pinned below do not depend on how a node holds its level."""
+    ids = {}
+    return [ids.setdefault(level, len(ids)) for level in L._level]
 
 
 def assert_memo_matches_states(L):
@@ -284,7 +301,7 @@ def test_failed_build_leaves_the_node_lists_in_step(s3):
     L = OrbitLattice(s3)
     with pytest.raises(ValueError):
         L.append_word(L.class_of((1,)), (-1,))
-    lists = (L._bases, L._pre, L._let, L._size, L._canon, L._ev, L._sub, L._level_id, *L._conj)
+    lists = (L._bases, L._pre, L._let, L._size, L._canon, L._ev, L._sub, L._level, *L._conj)
     assert {len(x) for x in lists} == {L.node_count()}
     assert_memo_matches_states(L)
     fresh = OrbitLattice(s3)
@@ -310,6 +327,51 @@ def test_node_cap_counts_new_nodes_only():
     fresh = OrbitLattice(G)
     assert ([L.canonical(n) for n in L.classes_at((0, 6, 6))]
             == [fresh.canonical(n) for n in fresh.classes_at((0, 6, 6))])
+
+
+def entry_point_calls(G, gam):
+    """One call of each public entry point that reaches a lattice."""
+    a, b, c = gam.elements()[:3]
+    u = u_gamma(G, gam)
+    return {
+        "braid_equivalent": lambda: braid_equivalent(G, (a, b), (b, c)),
+        "enumerate_classes": lambda: enumerate_classes(G, FiberSpec((0, 0, 3, 0), gam)),
+        "find_stability_bound": lambda: find_stability_bound(G, gam, window=2),
+        "stable_equivalent": lambda: stable_equivalent(G, (a,) * 3, (b,) * 3, u, window=2),
+        "adj_word_equal": lambda: hurwitz.adj_word_equal(G, gam, (a, b), (b, a), window=2),
+        "factor_witness": lambda: hurwitz.factor_witness(G, (a, a, a, b), (b,)),
+        "h2_order": lambda: hurwitz.h2_order(G, gam, window=2),
+        "h2_structure": lambda: hurwitz.h2_structure(G, gam, window=2),
+        "torsor_group": lambda: hurwitz.torsor_group(G, gam, window=2),
+        "marked_orbit": lambda: hurwitz.marked_orbit(G, hurwitz.MarkedVector((1,), (a, b))),
+        "monoid_act": lambda: hurwitz.monoid_act(G, hurwitz.MarkedVector((1,), (a,)), (b,)),
+        "enumerate_marked_classes": lambda: hurwitz.enumerate_marked_classes(
+            G, 1, FiberSpec((0, 0, 2, 0), gam), [(0,)]),
+    }
+
+
+def test_each_entry_point_fetches_its_lattice_once(monkeypatch):
+    # each fetch sets a new node budget, so a call that fetched twice could
+    # add up to twice its cap
+    fetches = []
+
+    def fetching(G, caps=Caps()):
+        fetches.append(G)
+        return get_lattice(G, caps)
+
+    for module in (hurwitz.braid, hurwitz.stability, hurwitz.homology, hurwitz.marked):
+        monkeypatch.setattr(module, "get_lattice", fetching)
+
+    def fresh_calls():
+        G = build_builtin("alt:4")
+        return entry_point_calls(G, make_gamma(G, [el(G, "(123)")]))
+
+    counts = {}
+    for name in fresh_calls():
+        fetches.clear()
+        fresh_calls()[name]()
+        counts[name] = len(fetches)
+    assert len(counts) == 12 and counts == dict.fromkeys(counts, 1)
 
 
 def test_shift_memo_stores_completed_folds_only():
@@ -478,7 +540,7 @@ def test_warm_verdicts_are_lookups(monkeypatch):
 
 def lattice_fingerprint(L):
     h = hashlib.sha256()
-    for field in (L._pre, L._let, L._canon, L._size, L._ev, L._sub, L._level_id, L._next):
+    for field in (L._pre, L._let, L._canon, L._size, L._ev, L._sub, level_ids(L), L._next):
         h.update(repr(field).encode())
     return h.hexdigest()
 
@@ -518,7 +580,7 @@ def test_cold_builds_are_pinned_by_fingerprint():
 
 
 def node_lists(L):
-    return (L._bases, L._pre, L._let, L._size, L._canon, L._ev, L._sub, L._level_id, *L._conj)
+    return (L._bases, L._pre, L._let, L._size, L._canon, L._ev, L._sub, L._level, *L._conj)
 
 
 def closure_only(G):

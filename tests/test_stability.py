@@ -448,7 +448,7 @@ def test_a_group_keeps_only_its_tables_and_lattice(name, reps):
     h2_structure(G, gam, window=2)
     get_lattice(G).classes_at(u.nu)
     assert fields == {"order", "mul", "names", "label", "inv", "_conj_table", "_classes",
-                      "_orders", "_commutator"}
+                      "_orders"}
     assert set(vars(G)) == fields | {"_lattice"}
 
 
