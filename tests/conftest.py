@@ -138,3 +138,23 @@ def load_repo_file(*parts):
 def bench_oracles():
     """The package-free oracles of ``bench/oracles.py``."""
     return load_repo_file("bench", "oracles.py")
+
+
+def inversion_extension(moduli):
+    """G = A ⋊ Z/2 with A = Z/m_1 ⊕ ... ⊕ Z/m_k and Z/2 acting by inversion.
+
+    Elements are pairs (v, e) with e = 0 first, so that the identity is
+    index 0, and (v, e)·(w, f) = (v + (−1)^e w, e + f).  Returns the group
+    and the index of each pair.
+    """
+    vectors = list(itertools.product(*(range(m) for m in moduli)))
+    elements = [(v, e) for e in (0, 1) for v in vectors]
+    index = {x: i for i, x in enumerate(elements)}
+
+    def mul(x, y):
+        (v, e), (w, f) = x, y
+        sign = -1 if e else 1
+        return index[(tuple((a + sign * b) % m for a, b, m in zip(v, w, moduli)), (e + f) % 2)]
+
+    table = [[mul(x, y) for y in elements] for x in elements]
+    return hurwitz.build_from_table({"order": len(elements), "mul": table}), index
