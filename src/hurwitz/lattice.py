@@ -1,89 +1,119 @@
 """Shared per-group store of braid classes, avoiding raw orbit expansion.
 
-Classes are built by extending known classes one letter at a time.  A class
-of length-d tuples is stored as its set of *states* (c, a), where c is the
-class of the first d-1 entries and a is the last entry: two tuples with the
-same state are connected by braid moves fixing the last strand, so an orbit
-is exactly a closed union of state fibers.  The closure of a start state
-under the last-strand move
+Classes are built by extending known classes one letter at a time, over
+*class-sorted* tuples: the entries come in blocks by conjugacy class, in
+descending class id, so class 1 (which holds the least non-identity letter)
+forms the last block but for the identity's.  B_d permutes the block
+patterns of a Nielsen type nu transitively, and the stabiliser of the sorted
+pattern is the mixed braid group B_nu, so the B_d-orbits of type nu are the
+B_nu-orbits of sorted tuples, one to one.  A class here is such a B_nu-orbit.
+A prefix of a sorted tuple is sorted, so the classes at nu need only the
+levels with a shortened last block: a staircase of sum(nu) levels, where
+closing every sub-level took prod(nu_c + 1).
 
-    q + (b, a)  ->  q + (a, b^a)
+A class of length-d tuples is stored as its set of *states* (c, a), where c
+is the class of the first d-1 entries and a is the last entry: two sorted
+tuples with the same state are connected by moves of B_nu fixing the last
+strand, so a class is a closed union of state fibers.  B_nu is generated by
+the group of the prefix and one more braid (S. Manfredini, "Some subgroups
+of Artin's braid group", Topology Appl. 1997), and the closure runs on
+states alone:
 
-can therefore be computed on states alone; the recursive identification of
-the shortened prefixes lands one level down and is memoised.  The inverse
-move is not needed: the tuples of a closed state set are closed under the
-moves on the prefix and under this move, and a permutation of a finite set
-has its inverse among its powers, so the set is already a whole orbit.
-Canonical (lexicographically minimal) representatives and exact orbit sizes
-fall out of the same recursion:
+- when a continues the prefix's last block, the move is sigma on the last
+  two strands, q + (b, a) -> q + (a, b^a), applied to each state (q, b) of
+  the prefix;
+- when a starts a block, B_{m,1} = <B_m, sigma_m^2> and sigma^2 takes
+  (b, a) to (b^a, a^(b^a)).  B_m moves the prefix's entries across its
+  blocks, so sigma^2 must meet every last letter the prefix shows in any
+  arrangement: its *full states* (q, b), q a class at the prefix level
+  minus e_p and b in class p with sort(rep(q) + (b,)) in the prefix class.
+  They are computed once per level over the complete levels below and
+  inverted (`_full_states`).  Meeting only the sorted last letter finds 10
+  classes where dihedral:4 has 2.  sigma^2 fixes a pair with a central
+  entry, so a central new letter, and a central b, need none.
 
-    canon(X) = min over states (c, a) of canon(c) + (a,)
-    size(X)  = sum over states (c, a) of size(c)
-
-so they agree with what a full breadth-first expansion would report while
-touching only as many nodes as there are classes below X.  Orbit sizes at
-deep levels are astronomical; canonical representatives stay a few dozen
-letters long.
+The recursive identification of the shortened prefixes lands one level down
+and is memoised.  The inverse moves are not needed: a permutation of a
+finite set has its inverse among its powers, so a closed state set is
+already a whole orbit.  Orbit sizes follow from the same recursion:
+sorted(X) = sum over states (c, a) of sorted(c), and |X| = sorted(X) times
+d!/prod(nu_c!), the arrangements of one sorted tuple.
 
 A state (c, a) is packed as the single int c * n + a (n the group order),
 which is also an index into the one append table, `_next`: a flat list with
 a row of n slots per node, appended when the node is built.  Slot c * n + a
-holds the row base t * n of the class t of rep(c) + (a,), or -1 while that
-class is unbuilt, so every state of every class built is a filled slot
-pointing at its own row.  The folds (`append_word`, `_new_class`) run on
-row bases, test a miss with `< 0` and divide by n once when they return;
-every public method takes and returns node ids.
-Row bases are the shared int objects of `_bases`, so a slot costs one
-pointer.  A node keeps its states in sorted order as two fields: `_pre`, a
-tuple of the prefix row bases (again the `_bases` objects), and `_let`,
-the last letters as `bytes` (a tuple above order 256, the split that
-canonical representatives make).  Equivalence of two tuples is therefore a
-fold of one-letter appends followed by an id comparison, and a table miss
-on a start state always begins a new class.  `append_word` is that fold:
-one list subscript per letter, a call only on a miss.  `find` is the same
-fold from the empty class with each entry range-checked, building nothing:
-it returns -1 at the first unbuilt class, so a query on built classes is
-lookups only.  `class_of`, the checked entry for tuples, is `find` and, on a
-miss, `append_word`; the inner folds take only node ids and checked words.
+holds the row base t * n of the class t of sort(rep(c) + (a,)), or -1 while
+it is unbuilt or unfilled.  Every state of every class built is a filled
+slot pointing at its own row, so a table miss on a letter that continues or
+starts the last block always begins a new class.  A letter of a class that
+comes before the last block fills an *insertion* slot: a moves left
+unchanged and each entry b it passes becomes b^a, so the slot is found down
+the chain of first states to where a lands and back up, appending each b^a
+(`_insert`).  The folds (`append_word`, `_new_class`) run on row bases, test
+a miss with `< 0` and divide by n once when they return; every public method
+takes and returns node ids.  Row bases are the shared int objects of
+`_bases`, so a slot costs one pointer.  A node keeps its states in sorted
+order as two fields: `_pre`, a tuple of the prefix row bases (again the
+`_bases` objects), and `_let`, the last letters as `bytes` (a tuple above
+order 256, the split that canonical representatives make).  Equivalence of
+two tuples, in any order, is therefore a fold of one-letter appends followed
+by an id comparison.  `append_word` is that fold: one list subscript per
+letter, a call only on a miss.  `find` is the same fold from the empty class
+with each entry range-checked, building nothing: it returns -1 at the first
+unfilled slot, so a query on built classes and filled slots is lookups only.
+`class_of`, the checked entry for tuples, is `find` and, on a miss,
+`append_word`; the inner folds take only node ids and checked words.
 Complete class sets per Nielsen type come from extending the complete sets
-one level below (every class has a representative ending in any class with
-positive count, because braid moves carry an entry to the last slot within
-its conjugacy class).
+one level below by the class that ends the last block, so the chain of
+`classes_at` is the staircase.
+
+Canonical representatives are the lexicographically least arrangement,
+sorted or not.  On a level of one block every arrangement is sorted and
+canon(X) = min over states (c, a) of canon(c) + (a,), computed as a node is
+added.  On several blocks they are computed on first use (`canonical`,
+`classes_at`): sigma brings any entry to the front unchanged, so
+canon(X) = (a,) + min canon(T) over the classes T with (a,) + rep(T) in X,
+where a is the least letter X shows.  That letter is X's least last letter
+when it is the least member of its class, since class ids follow least
+members; otherwise a smaller letter of another class is tried when it is
+conjugate, in the subgroup X generates, to one of X's entries, with its T
+found over the complete level below.  The T at X's least
+last letter a are the conjugates by a of the prefixes of X's states (c, a),
+since (a,) + rep(T) is braided to rep(T)^(a^-1) + (a,).  A class whose
+entries commute is every arrangement of its sorted member.
 
 `_new_class` is the one recursion: a closure that meets an unbuilt prefix
 class builds it first, so it nests once per missing lower class, not once
-per letter.  At Python's default limit of 1,000, a cold `class_of` of a
-random 300-letter sym:3 tuple runs into the 2M-node cap at a class of 248
-letters with `_new_class` nested 22 deep: the node cap, not the stack, is
-the wall, and the package leaves the recursion limit alone.  `classes_at`
-and `_conj_of`, which go one step per level or per letter, walk their
-chains down to a memoised entry and back up in loops.
+per letter.  A cold `class_of` of a random 300-letter sym:3 tuple (entries
+0-5, `random.Random(1)`) builds 35,037 nodes in 0.3 s with `_new_class`
+nested 3 deep (11 frames at most), where the lattice of every sub-level hit
+the 2M-node cap at letter 248; the package leaves the recursion limit alone.
+`classes_at`, `_insert`, `_conj_of` and the canonical representatives go
+one step per level or per letter, and walk their chains in loops.
 
 A row costs 8 * n bytes whatever its fill.  Lattices built level by level
-fill most of it (65% for alt:4 up to (0, 36, 36, 0), 80% for sym:3 up to
-(0, 24, 24)), so the table takes far less than a dict keyed by state; a
-sparse lattice takes more, such as the classes of 40 random triples over
-alt:6 (2% fill, about three times the memory of the dict).
+fill most of it, so the table takes far less than a dict keyed by state; a
+sparse lattice takes more.  Sparse work pays for complete levels: a first
+closure that starts a block reads the full states of its level, which need
+the complete levels below it.
 
 Simultaneous conjugation by an element s of G commutes with the braid
-moves, so it permutes the classes of every level: the states (c, a) of a
-class X map to the states (c^s, a^s) of X^s, which has X's size and level.
-`classes_at` builds by this *transport*.  When one of its builds closes a
-class, the rest of the class's orbit under conjugation by the non-central
-elements of a generating set is built from it without a closure, and the
-closure passes the same flag down to the builds nested in it.  Each
-conjugate is added as soon as its states are mapped, one class at a time
-through the same helper as a closed class, so the lattice is consistent
-after every class and a cap error leaves the classes added before it, each
-one complete.  Only
-`classes_at` transports: a level is closed under conjugation and the closure
-is equivariant, so every conjugate transport builds would have been built by
-the same request anyway; the node set is that of closing every class, only
-the order differs.  Sparse requests would pay for conjugates nobody asked
-for (the classes of 40 random alt:6 triples are 5,859 nodes, and 22,906 if
-every build transported), so `class_of`, `append_word` and `shift` close
-every class they build, node for node.  The conjugates are kept in one map
-per generator, `_conj[i]`, from node to the conjugate's row base (again the
+moves and keeps class ids, so it permutes the classes of every level: the
+states (c, a) of a class X map to the states (c^s, a^s) of X^s, which has
+X's size and level.  `classes_at` builds by this *transport*.  When one of
+its builds closes a class, the rest of the class's orbit under conjugation
+by the non-central elements of a generating set is built from it without a
+closure, and the closure passes the same flag down to the builds nested in
+it.  Each conjugate is added as soon as its states are mapped, one class at
+a time through the same helper as a closed class, so the lattice is
+consistent after every class and a cap error leaves the classes added before
+it, each one complete.  A transported class lies on a level whose staircase
+below is complete, and complete levels are closed under conjugation, so the
+conjugates of its prefixes are all built.  Only `classes_at` and the
+complete levels it reads transport: sparse requests would pay for conjugates
+nobody asked for, so `class_of`, `append_word` and `shift` close every class
+they build, node for node.  The conjugates are kept in one map per
+generator, `_conj[i]`, from node to the conjugate's row base (again the
 `_bases` object, so 8 bytes per generator per node: 16 for sym:3 and alt:4,
 none for an abelian group, which has no non-central generator) or -1 while
 unknown; a prefix built outside `classes_at` gets its conjugate when a
@@ -97,6 +127,8 @@ of the level's classes whose subgroup contains the given one.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .braid import Caps, DEFAULT_CAPS, OrbitClass, _check_counts, _check_entries
 from .errors import CapExceeded
@@ -113,6 +145,8 @@ class OrbitLattice:
         self._mul = G.mul
         # _fwd[a][b] = b^a: the new last letter when a moves left past b
         self._fwd = list(zip(*G.conj_table))
+        identity = tuple(range(n))
+        self._central = [row == identity for row in self._fwd]
         ct = G.classes
         self._class_of = ct.class_of
         self._members = ct.members
@@ -122,17 +156,27 @@ class OrbitLattice:
         self._bases: list[int] = []  # node * n, one shared int per node
         self._pre: list[tuple[int, ...]] = []  # prefix row bases c * n
         self._let: list = []  # last letters a
-        self._size: list[int] = []
+        self._size: list[int] = []  # class-sorted members
         self._ev: list[int] = []
         self._sub: list[int] = []
         self._level: list[tuple[int, ...]] = []  # interned through _levels
-        self._canon: list = []
-        self._levels: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._canon: list = []  # None until computed, for a level of several blocks
+        # level -> (the interned level, the arrangements of a sorted tuple)
+        self._levels = _Levels()
         # the append table: slot c * n + a holds the row base of the class
-        # of rep(c) + (a,), or -1 while it is unbuilt
+        # of sort(rep(c) + (a,)), or -1 while it is unbuilt or unfilled
         self._next: list[int] = []
         self._empty_row = [-1] * n
+        # complete class sets per level (`_complete_level`), and the same
+        # sorted by canonical representative
+        self._complete: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._classes_at: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # per level: node -> its full states q * n + b with b not central
+        self._full: dict[tuple[int, ...], dict[int, list[int]]] = {}
+        # per (level, letter a): node -> the prefix classes t with
+        # sort(rep(t) + (a,)) in it
+        self._heads: dict[tuple, dict[int, list[int]]] = {}
+        self._subgroups: dict[int, tuple[tuple[int, ...], bool]] = {}
         self._sub_memo: dict[tuple[int, int], int] = {}
         # stabiliser append maps: word -> {node: node + word}, and
         # (word, level, subgroup) -> (domain classes, their images)
@@ -143,7 +187,7 @@ class OrbitLattice:
         # _conj[i][node] is the row base of the node's conjugate by s_i, or
         # -1 while it is unknown
         self._gens: list[tuple[int, ...]] = []
-        span, identity = 1, tuple(range(n))
+        span = 1
         for s, row in enumerate(self._fwd):
             if not (span >> s) & 1 and row != identity:
                 self._gens.append(row)
@@ -160,7 +204,7 @@ class OrbitLattice:
         empty = self._word_of()
         # node 0: the empty tuple's class
         zero = (0,) * self._nclasses
-        self._levels[zero] = zero
+        self._levels[zero] = (zero, 1)
         self._bases.append(0)
         self._pre.append(())
         self._let.append(empty)
@@ -170,7 +214,7 @@ class OrbitLattice:
         self._sub.append(1)  # {identity}
         self._level.append(zero)
         self._canon.append(empty)
-        self._classes_at[zero] = (0,)
+        self._complete[zero] = self._classes_at[zero] = (0,)
         self.limit_new_nodes(DEFAULT_CAPS.lattice_nodes)
 
     # -- accessors ---------------------------------------------------------
@@ -179,7 +223,7 @@ class OrbitLattice:
         return self._level[node]
 
     def size(self, node: int) -> int:
-        return self._size[node]
+        return self._size[node] * self._levels[self._level[node]][1]
 
     def ev(self, node: int) -> int:
         return self._ev[node]
@@ -188,7 +232,8 @@ class OrbitLattice:
         return self._sub[node]
 
     def canonical(self, node: int) -> tuple[int, ...]:
-        return tuple(self._canon[node])
+        word = self._canon[node]
+        return tuple(word if word is not None else self._canonical_word(node))
 
     def node_count(self) -> int:
         return len(self._size)
@@ -196,7 +241,7 @@ class OrbitLattice:
     def orbit_class(self, node: int) -> OrbitClass:
         return OrbitClass(
             canonical=self.canonical(node),
-            size=self._size[node],
+            size=self.size(node),
             ev=self._ev[node],
             nu=self.level(node),
             subgroup=SubgroupMask(self._sub[node], self._n),
@@ -217,62 +262,152 @@ class OrbitLattice:
         self._cap_base = len(self._size)
         self.max_nodes = self._cap_base + limit
 
-    def _new_class(self, base: int, g: int, orbit: bool = False) -> int:
-        """Build the class of rep(base // n) + (g,), whose slot is unfilled.
+    def _insert(self, base: int, g: int, orbit: bool) -> int:
+        """Fill the slot of a letter g that belongs before the last block.
 
-        Takes and returns row bases.  The table holds every state of every
-        class built, so the start state begins a new class; misses inside
-        the closure only reach lower levels.  With ``orbit`` the class's
-        conjugation orbit is built with it, and so are the orbits of the
-        classes the closure builds.
+        g moves left unchanged, and each entry b it passes becomes b^g:
+        down the chain of first states (c, b) to a prefix where g's slot is
+        filled or g ends the tuple, then back up appending each b^g, which
+        continues or starts the last block.  Every slot on the way is filled.
+        """
+        n = self._n
+        nxt = self._next
+        cls = self._class_of
+        cg = cls[g]
+        fwd = self._fwd[g]
+        pre_of, let_of = self._pre, self._let
+        chain = []
+        t = base
+        while True:
+            x = t // n
+            chain.append((t, fwd[let_of[x][0]]))
+            t = pre_of[x][0]
+            hit = nxt[t + g]
+            if hit >= 0:
+                break
+            last = let_of[t // n]
+            if not last or cg <= cls[last[0]]:
+                hit = self._new_class(t, g, orbit)
+                break
+        for t, b in reversed(chain):
+            up = nxt[hit + b]
+            if up < 0:
+                up = self._new_class(hit, b, orbit)
+            nxt[t + g] = hit = up
+        return hit
+
+    def _new_class(self, base: int, g: int, orbit: bool = False) -> int:
+        """Fill the unfilled slot of g on node base // n: the class of
+        sort(rep(base // n) + (g,)).
+
+        Takes and returns row bases.  A letter that belongs before the last
+        block is an insertion (`_insert`).  Otherwise g continues or starts
+        the last block, and the class is new: the table holds every state of
+        every class built, so the start state begins a new class, and misses
+        inside the closure only reach lower levels.  With ``orbit`` the
+        class's conjugation orbit is built with it, and so are the orbits of
+        the classes the closure builds.
         """
         n = self._n
         nxt = self._next
         fwd_of = self._fwd
         new_class = self._new_class
         pre_of, let_of = self._pre, self._let
+        node = base // n
+        cid = self._class_of[g]
+        last = let_of[node]
         start = base + g
         seen = {start}
         stack = [start]
         pop, push, add = stack.pop, stack.append, seen.add
-        while stack:
-            p = pop()
-            a = p % n
-            fwd = fwd_of[a]
-            x = p // n
-            for q, b in zip(pre_of[x], let_of[x]):
-                # forward move on the last two strands: (b, a) -> (a, b^a)
-                child = nxt[q + a]
-                if child < 0:
-                    child = new_class(q, a, orbit)
-                s = child + fwd[b]
-                if s not in seen:
-                    add(s)
-                    push(s)
+        if not last or self._class_of[last[0]] == cid:
+            while stack:
+                p = pop()
+                a = p % n
+                fwd = fwd_of[a]
+                x = p // n
+                for q, b in zip(pre_of[x], let_of[x]):
+                    # sigma on the last two strands: (b, a) -> (a, b^a)
+                    child = nxt[q + a]
+                    if child < 0:
+                        child = new_class(q, a, orbit)
+                    s = child + fwd[b]
+                    if s not in seen:
+                        add(s)
+                        push(s)
+        elif cid > self._class_of[last[0]]:
+            return self._insert(base, g, orbit)
+        elif not self._central[g]:
+            full = self._full_states(self._level[node], orbit)
+            while stack:
+                p = pop()
+                a = p % n
+                fwd = fwd_of[a]
+                for s in full.get(p // n, ()):
+                    # sigma squared against every last letter b of an
+                    # arrangement: (b, a) -> (b^a, a^(b^a))
+                    b = s % n
+                    c = fwd[b]
+                    q = s - b
+                    child = nxt[q + c]
+                    if child < 0:
+                        child = new_class(q, c, orbit)
+                    r = child + fwd_of[c][a]
+                    if r not in seen:
+                        add(r)
+                        push(r)
         states = sorted(seen)
-        node = base // n
         base_level = self._level[node]
-        cid = self._class_of[g]
         level = base_level[:cid] + (base_level[cid] + 1,) + base_level[cid + 1 :]
+        level, multi = self._levels[level]
         ev = self._mul[self._ev[node]][g]
         sub = self._subgroup_with(self._sub[node], g)
         if orbit:
-            return self._add_orbit(states, ev, sub, level)
-        return self._add_node(states, ev, sub, level)
+            return self._add_orbit(states, ev, sub, level, multi)
+        return self._add_node(states, ev, sub, level, multi)
 
-    def _add_node(self, states: list[int], ev: int, sub: int, level: tuple[int, ...]) -> int:
+    def _full_states(self, nu: tuple[int, ...], orbit: bool) -> dict[int, list[int]]:
+        """Each class at ``nu`` -> its full states q * n + b with b not central.
+
+        A full state is a last letter b that the class shows in some
+        arrangement, with the class q of the rest: every (q, b) with q at
+        nu - e_p and b in class p, filed under the class of
+        sort(rep(q) + (b,)).  A central b is left out, since sigma squared
+        fixes a pair with a central entry.
+        """
+        hit = self._full.get(nu)
+        if hit is None:
+            n, nxt, new_class = self._n, self._next, self._new_class
+            central = self._central
+            hit = {}
+            for p, k in enumerate(nu):
+                members = self._members[p]
+                if not k or central[members[0]]:
+                    continue
+                for t in self._complete_level(nu[:p] + (k - 1,) + nu[p + 1 :], orbit):
+                    q = t * n
+                    for b in members:
+                        y = nxt[q + b]
+                        if y < 0:
+                            y = new_class(q, b, orbit)
+                        hit.setdefault(y // n, []).append(q + b)
+            self._full[nu] = hit
+        return hit
+
+    def _add_node(self, states: list[int], ev: int, sub: int, level: tuple[int, ...],
+                  multi: int) -> int:
         """Add the class with the given sorted states; return its row base.
 
-        The one place a class is added.  Everything that can raise (the cap
-        here, the subgroup and level in the caller) comes before the first
-        append, so that the parallel node lists stay in step.
+        ``level`` and ``multi`` are its entry in `_levels`.  The one place a
+        class is added.  Everything that can raise (the cap here, the
+        subgroup and level in the caller) comes before the first append, so
+        that the parallel node lists stay in step.
         """
         n = self._n
         nid = len(self._size)
         if nid >= self.max_nodes:
             raise CapExceeded(f"class lattice exceeds node cap at level {level}",
                               nid - self._cap_base, "new nodes")
-        level = self._levels.setdefault(level, level)
         mine = nid * n
         for cmap in self._conj:
             cmap.append(-1)
@@ -282,15 +417,25 @@ class OrbitLattice:
         best = None
         pre = []
         let = []
-        for p in states:
-            c = p // n
-            a = p - c * n
-            pre.append(bases[c])
-            let.append(a)
-            total += size[c]
-            word = canon[c] + letters[a]
-            if best is None or word < best:
-                best = word
+        if multi == 1:
+            # one block: every arrangement is sorted, so the states give the
+            # canonical representative at once
+            for p in states:
+                c = p // n
+                a = p - c * n
+                pre.append(bases[c])
+                let.append(a)
+                total += size[c]
+                word = canon[c] + letters[a]
+                if best is None or word < best:
+                    best = word
+        else:
+            for p in states:
+                c = p // n
+                a = p - c * n
+                pre.append(bases[c])
+                let.append(a)
+                total += size[c]
         bases.append(mine)
         self._pre.append(tuple(pre))
         self._let.append(self._word_of(let))
@@ -306,7 +451,8 @@ class OrbitLattice:
             nxt[p] = mine
         return mine
 
-    def _add_orbit(self, states: list[int], ev: int, sub: int, level: tuple[int, ...]) -> int:
+    def _add_orbit(self, states: list[int], ev: int, sub: int, level: tuple[int, ...],
+                   multi: int) -> int:
         """Add the class with sorted ``states``, then every unbuilt class of
         its conjugation orbit, found by transport; return the first's row base.
 
@@ -322,7 +468,7 @@ class OrbitLattice:
         nxt = self._next
         pre_of, let_of = self._pre, self._let
         conj_of = self._conj_of
-        top = self._add_node(states, ev, sub, level)
+        top = self._add_node(states, ev, sub, level, multi)
         members = [top]
         seen = {top}
         for m in members:
@@ -345,7 +491,8 @@ class OrbitLattice:
                             image.append(qs + fs[b])
                         image.sort()
                         t = self._add_node(image, fs[self._ev[x]],
-                                           self._subgroup_with(self._sub[cs // n], fs[a]), level)
+                                           self._subgroup_with(self._sub[cs // n], fs[a]),
+                                           level, multi)
                     cmap[x] = t
                 if t not in seen:
                     seen.add(t)
@@ -357,8 +504,10 @@ class OrbitLattice:
         ``fs``, whose node map is ``cmap``.
 
         A missing entry is found through the node's first state (c, a): the
-        conjugate is the class of rep(c^s) + (a^s), built (with its orbit)
-        if need be, down the chain of first states to a known conjugate.
+        conjugate is the class of rep(c^s) + (a^s), down the chain of first
+        states to a known conjugate.  Only the prefixes of a class being
+        transported come here, and they lie on a complete level, which is
+        closed under conjugation, so every conjugate on the chain is built.
         """
         n = self._n
         chain = []
@@ -368,11 +517,7 @@ class OrbitLattice:
             x = self._pre[x][0] // n
             t = cmap[x]
         for x in reversed(chain):
-            c, a = t, fs[self._let[x][0]]
-            t = self._next[c + a]
-            if t < 0:
-                t = self._new_class(c, a, True)
-            cmap[x] = t
+            cmap[x] = t = self._next[t + fs[self._let[x][0]]]
         return t
 
     def append_word(self, node: int, word: tuple[int, ...]) -> int:
@@ -454,8 +599,6 @@ class OrbitLattice:
     def classes_at(self, nu: tuple[int, ...]) -> tuple[int, ...]:
         """Complete class set at a Nielsen level, sorted by canonical rep.
 
-        The set at nu extends the one at nu - e_p by the members of class p,
-        the first class nu counts; each level of that chain is memoised.
         A level must hold non-negative ints, or ValueError names the first
         entry that does not (1.5 would walk the chain below zero), before
         the memo is read: True and 1.0 equal 1 as keys.
@@ -464,7 +607,27 @@ class OrbitLattice:
         if len(nu) != self._nclasses:
             raise ValueError(f"level has {len(nu)} entries, group has {self._nclasses} classes")
         _check_counts(nu, "level")
-        memo = self._classes_at
+        hit = self._classes_at.get(nu)
+        if hit is None:
+            # a level is closed under conjugation, so its builds transport
+            # (when G is not abelian)
+            found = self._complete_level(nu, bool(self._gens))
+            canon = self._canon
+            for x in found:
+                if canon[x] is None:
+                    self._canonical_word(x)
+            hit = self._classes_at[nu] = tuple(sorted(found, key=canon.__getitem__))
+        return hit
+
+    def _complete_level(self, nu: tuple[int, ...], orbit: bool) -> tuple[int, ...]:
+        """Complete class set at ``nu``: sorted by canonical representative
+        on one block, in build order on several.
+
+        The set at nu extends the one at nu - e_p by the members of class p,
+        the first class nu counts, which ends the last block: the chain is
+        the staircase of nu, and each level of it is memoised.
+        """
+        memo = self._complete
         hit = memo.get(nu)
         if hit is not None:
             return hit
@@ -474,22 +637,152 @@ class OrbitLattice:
             chain.append((nu, pivot))
             nu = nu[:pivot] + (nu[pivot] - 1,) + nu[pivot + 1 :]
             hit = memo.get(nu)
-        # a level is closed under conjugation, so its builds transport (when
-        # G is not abelian)
         n, nxt, canon = self._n, self._next, self._canon
-        orbit = bool(self._gens)
         for nu, pivot in reversed(chain):
             members = self._members[pivot]
-            found = set()
+            found = {}
             for c in hit:
                 base = c * n
                 for g in members:
                     t = nxt[base + g]
                     if t < 0:
                         t = self._new_class(base, g, orbit)
-                    found.add(t // n)
-            hit = memo[nu] = tuple(sorted(found, key=canon.__getitem__))
+                    found[t // n] = None
+            # on one block the canonical representatives are at hand, and
+            # the next level is built in their order
+            hit = memo[nu] = tuple(sorted(found, key=canon.__getitem__)
+                                   if self._levels[nu][1] == 1 else found)
         return hit
+
+    # -- canonical representatives ----------------------------------------------
+
+    def _canonical_word(self, node: int):
+        """The lexicographically least arrangement of the class, as a word.
+
+        Computed on first use for a level of several blocks: sigma brings any
+        entry to the front unchanged, so canon(X) = (a,) + min canon(T)
+        over the heads T of X at a, the classes with (a,) + rep(T) in X,
+        where a is the least letter X shows.  The prefix classes are
+        resolved first, on an explicit stack.
+        """
+        canon = self._canon
+        word = canon[node]
+        if word is not None:
+            return word
+        letters = self._letters
+        todo = {}
+        stack = [node]
+        while stack:
+            x = stack[-1]
+            if canon[x] is not None:
+                stack.pop()
+                continue
+            step = todo.get(x)
+            if step is None:
+                step = todo[x] = self._first_letter(x)
+            a, heads = step
+            if a < 0:
+                canon[x] = heads
+                stack.pop()
+                continue
+            missing = [t for t in heads if canon[t] is None]
+            if missing:
+                stack.extend(missing)
+                continue
+            canon[x] = letters[a] + min(canon[t] for t in heads)
+            stack.pop()
+        return canon[node]
+
+    def _rep(self, x: int) -> list[int]:
+        """A class-sorted member of node ``x``, down its chain of first states."""
+        n, pre_of, let_of = self._n, self._pre, self._let
+        out = []
+        while x:
+            out.append(let_of[x][0])
+            x = pre_of[x][0] // n
+        out.reverse()
+        return out
+
+    def _first_letter(self, x: int):
+        """(a, heads of x at a) for the least letter a that node ``x`` shows,
+        or (-1, word) when x's entries commute and the word is its sorted
+        member.
+
+        The letters of the last block's class that x shows are its last
+        letters (an entry moves to the end unchanged), and the heads at such
+        a letter a are the conjugates by a of the prefixes of x's states
+        (c, a): (a,) + rep(t) is braided to rep(t)^(a^-1) + (a,).  When a is
+        the class's least member it is the least letter of the level, as
+        class ids follow least members.  Otherwise a smaller letter of
+        another class is tried when it is conjugate, in the subgroup x
+        generates, to one of rep(x)'s entries (moves conjugate entries
+        within that subgroup), and its heads come from the level below.
+        """
+        n, fwd_of, cls = self._n, self._fwd, self._class_of
+        lets = self._let[x]
+        a = min(lets)
+        m = cls[a]
+        heads = None
+        if a != self._members[m][0]:
+            rep = self._rep(x)
+            inside, abelian = self._subgroup_info(self._sub[x])
+            if abelian:
+                return -1, self._word_of(sorted(rep))
+            shown = {fwd_of[h][b] for b in rep if cls[b] != m for h in inside}
+            for b in sorted(b for b in shown if b < a):
+                heads = self._heads_at(self._level[x], b).get(x)
+                if heads:
+                    a = b
+                    break
+        if not heads:
+            heads = [q // n for q, b in zip(self._pre[x], lets) if b == a]
+        if not self._central[a]:
+            fwd = fwd_of[a]
+            heads = [self.append_word(0, [fwd[b] for b in self._rep(t)]) for t in heads]
+        return a, heads
+
+    def _heads_at(self, nu: tuple[int, ...], a: int) -> dict[int, list[int]]:
+        """Each class at ``nu`` -> its prefixes t at nu - e_class(a) with
+        sort(rep(t) + (a,)) in it, over the complete level below."""
+        key = (nu, a)
+        hit = self._heads.get(key)
+        if hit is None:
+            n, nxt = self._n, self._next
+            p = self._class_of[a]
+            hit = {}
+            for t in self._complete_level(nu[:p] + (nu[p] - 1,) + nu[p + 1 :], bool(self._gens)):
+                y = nxt[t * n + a]
+                if y < 0:
+                    y = self._new_class(t * n, a)
+                hit.setdefault(y // n, []).append(t)
+            self._heads[key] = hit
+        return hit
+
+    def _subgroup_info(self, bits: int) -> tuple[tuple[int, ...], bool]:
+        """The elements of a subgroup and whether it is abelian."""
+        hit = self._subgroups.get(bits)
+        if hit is None:
+            mul = self._mul
+            inside = tuple(h for h in range(self._n) if (bits >> h) & 1)
+            hit = self._subgroups[bits] = (
+                inside, all(mul[x][y] == mul[y][x] for x in inside for y in inside))
+        return hit
+
+
+class _Levels(dict):
+    """Level -> (the interned level, the arrangements of one class-sorted
+    tuple of it), filled on first lookup; a level that counts one class has
+    one arrangement."""
+
+    def __missing__(self, level: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        multi = 1
+        if level.count(0) < len(level) - 1:
+            total = 0
+            for k in level:
+                total += k
+                multi *= comb(total, k)
+        entry = self[level] = (level, multi)
+        return entry
 
 
 def get_lattice(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> OrbitLattice:
