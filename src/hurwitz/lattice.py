@@ -35,9 +35,10 @@ states alone:
 The recursive identification of the shortened prefixes lands one level down
 and is memoised.  The inverse moves are not needed: a permutation of a
 finite set has its inverse among its powers, so a closed state set is
-already a whole orbit.  Orbit sizes follow from the same recursion:
-sorted(X) = sum over states (c, a) of sorted(c), and |X| = sorted(X) times
-d!/prod(nu_c!), the arrangements of one sorted tuple.
+already a whole orbit.  Orbit sizes follow from the same recursion: X
+holds sum over states (c, a) of sorted(c) sorted tuples, and each stands for
+d!/prod(nu_c!) arrangements, so |X| = (d / k) * sum of |c|, with k the count
+of the last block's class.
 
 A state (c, a) is packed as the single int c * n + a (n the group order),
 which is also an index into the one append table, `_next`: a flat list with
@@ -128,7 +129,6 @@ of the level's classes whose subgroup contains the given one.
 
 from __future__ import annotations
 
-from math import comb
 
 from .braid import Caps, DEFAULT_CAPS, OrbitClass, _check_counts, _check_entries
 from .errors import CapExceeded
@@ -156,12 +156,12 @@ class OrbitLattice:
         self._bases: list[int] = []  # node * n, one shared int per node
         self._pre: list[tuple[int, ...]] = []  # prefix row bases c * n
         self._let: list = []  # last letters a
-        self._size: list[int] = []  # class-sorted members
+        self._size: list[int] = []
         self._ev: list[int] = []
         self._sub: list[int] = []
         self._level: list[tuple[int, ...]] = []  # interned through _levels
         self._canon: list = []  # None until computed, for a level of several blocks
-        # level -> (the interned level, the arrangements of a sorted tuple)
+        # level -> (the interned level, whether it counts a single class)
         self._levels = _Levels()
         # the append table: slot c * n + a holds the row base of the class
         # of sort(rep(c) + (a,)), or -1 while it is unbuilt or unfilled
@@ -204,7 +204,7 @@ class OrbitLattice:
         empty = self._word_of()
         # node 0: the empty tuple's class
         zero = (0,) * self._nclasses
-        self._levels[zero] = (zero, 1)
+        self._levels[zero] = (zero, False)
         self._bases.append(0)
         self._pre.append(())
         self._let.append(empty)
@@ -223,7 +223,7 @@ class OrbitLattice:
         return self._level[node]
 
     def size(self, node: int) -> int:
-        return self._size[node] * self._levels[self._level[node]][1]
+        return self._size[node]
 
     def ev(self, node: int) -> int:
         return self._ev[node]
@@ -241,7 +241,7 @@ class OrbitLattice:
     def orbit_class(self, node: int) -> OrbitClass:
         return OrbitClass(
             canonical=self.canonical(node),
-            size=self.size(node),
+            size=self._size[node],
             ev=self._ev[node],
             nu=self.level(node),
             subgroup=SubgroupMask(self._sub[node], self._n),
@@ -359,12 +359,12 @@ class OrbitLattice:
         states = sorted(seen)
         base_level = self._level[node]
         level = base_level[:cid] + (base_level[cid] + 1,) + base_level[cid + 1 :]
-        level, multi = self._levels[level]
+        level, one_block = self._levels[level]
         ev = self._mul[self._ev[node]][g]
         sub = self._subgroup_with(self._sub[node], g)
         if orbit:
-            return self._add_orbit(states, ev, sub, level, multi)
-        return self._add_node(states, ev, sub, level, multi)
+            return self._add_orbit(states, ev, sub, level, one_block)
+        return self._add_node(states, ev, sub, level, one_block)
 
     def _full_states(self, nu: tuple[int, ...], orbit: bool) -> dict[int, list[int]]:
         """Each class at ``nu`` -> its full states q * n + b with b not central.
@@ -395,11 +395,11 @@ class OrbitLattice:
         return hit
 
     def _add_node(self, states: list[int], ev: int, sub: int, level: tuple[int, ...],
-                  multi: int) -> int:
+                  one_block: bool) -> int:
         """Add the class with the given sorted states; return its row base.
 
-        ``level`` and ``multi`` are its entry in `_levels`.  The one place a
-        class is added.  Everything that can raise (the cap here, the
+        ``level`` and ``one_block`` are its entry in `_levels`.  The one
+        place a class is added.  Everything that can raise (the cap here, the
         subgroup and level in the caller) comes before the first append, so
         that the parallel node lists stay in step.
         """
@@ -417,7 +417,7 @@ class OrbitLattice:
         best = None
         pre = []
         let = []
-        if multi == 1:
+        if one_block:
             # one block: every arrangement is sorted, so the states give the
             # canonical representative at once
             for p in states:
@@ -436,6 +436,9 @@ class OrbitLattice:
                 pre.append(bases[c])
                 let.append(a)
                 total += size[c]
+            # the prefixes' orbits hold d!/prod(nu_c!) * (k / d) sorted
+            # tuples each, k the count of a's class: scale the sum by d / k
+            total = total * sum(level) // level[self._class_of[a]]
         bases.append(mine)
         self._pre.append(tuple(pre))
         self._let.append(self._word_of(let))
@@ -452,7 +455,7 @@ class OrbitLattice:
         return mine
 
     def _add_orbit(self, states: list[int], ev: int, sub: int, level: tuple[int, ...],
-                   multi: int) -> int:
+                   one_block: bool) -> int:
         """Add the class with sorted ``states``, then every unbuilt class of
         its conjugation orbit, found by transport; return the first's row base.
 
@@ -468,7 +471,7 @@ class OrbitLattice:
         nxt = self._next
         pre_of, let_of = self._pre, self._let
         conj_of = self._conj_of
-        top = self._add_node(states, ev, sub, level, multi)
+        top = self._add_node(states, ev, sub, level, one_block)
         members = [top]
         seen = {top}
         for m in members:
@@ -492,7 +495,7 @@ class OrbitLattice:
                         image.sort()
                         t = self._add_node(image, fs[self._ev[x]],
                                            self._subgroup_with(self._sub[cs // n], fs[a]),
-                                           level, multi)
+                                           level, one_block)
                     cmap[x] = t
                 if t not in seen:
                     seen.add(t)
@@ -651,7 +654,7 @@ class OrbitLattice:
             # on one block the canonical representatives are at hand, and
             # the next level is built in their order
             hit = memo[nu] = tuple(sorted(found, key=canon.__getitem__)
-                                   if self._levels[nu][1] == 1 else found)
+                                   if self._levels[nu][1] else found)
         return hit
 
     # -- canonical representatives ----------------------------------------------
@@ -770,18 +773,11 @@ class OrbitLattice:
 
 
 class _Levels(dict):
-    """Level -> (the interned level, the arrangements of one class-sorted
-    tuple of it), filled on first lookup; a level that counts one class has
-    one arrangement."""
+    """Level -> (the interned level, whether it counts a single class),
+    filled on first lookup."""
 
-    def __missing__(self, level: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        multi = 1
-        if level.count(0) < len(level) - 1:
-            total = 0
-            for k in level:
-                total += k
-                multi *= comb(total, k)
-        entry = self[level] = (level, multi)
+    def __missing__(self, level: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+        entry = self[level] = (level, level.count(0) == len(level) - 1)
         return entry
 
 
