@@ -129,7 +129,6 @@ of the level's classes whose subgroup contains the given one.
 
 from __future__ import annotations
 
-
 from .braid import Caps, DEFAULT_CAPS, OrbitClass, _check_counts, _check_entries
 from .errors import CapExceeded
 from .groups import FiniteGroup, SubgroupMask, closure_bits
