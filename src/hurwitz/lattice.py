@@ -623,7 +623,7 @@ class OrbitLattice:
 
     def _complete_level(self, nu: tuple[int, ...], orbit: bool) -> tuple[int, ...]:
         """Complete class set at ``nu``: sorted by canonical representative
-        on one block, in build order on several.
+        on one block, in set order on several.
 
         The set at nu extends the one at nu - e_p by the members of class p,
         the first class nu counts, which ends the last block: the chain is
@@ -642,14 +642,14 @@ class OrbitLattice:
         n, nxt, canon = self._n, self._next, self._canon
         for nu, pivot in reversed(chain):
             members = self._members[pivot]
-            found = {}
+            found = set()
             for c in hit:
                 base = c * n
                 for g in members:
                     t = nxt[base + g]
                     if t < 0:
                         t = self._new_class(base, g, orbit)
-                    found[t // n] = None
+                    found.add(t // n)
             # on one block the canonical representatives are at hand, and
             # the next level is built in their order
             hit = memo[nu] = tuple(sorted(found, key=canon.__getitem__)
