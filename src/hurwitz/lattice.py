@@ -435,8 +435,9 @@ class OrbitLattice:
                 pre.append(bases[c])
                 let.append(a)
                 total += size[c]
-            # the prefixes' orbits hold d!/prod(nu_c!) * (k / d) sorted
-            # tuples each, k the count of a's class: scale the sum by d / k
+            # |X| = (d / k) * sum of |c|, k the count of a's class: each
+            # sorted tuple of X stands for d / k times the arrangements of
+            # one of its prefix's
             total = total * sum(level) // level[self._class_of[a]]
         bases.append(mine)
         self._pre.append(tuple(pre))

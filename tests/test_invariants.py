@@ -66,7 +66,8 @@ def test_wedge_square_oracle():
     assert invariant_factors([2, 3, 4]) == (2, 12)
 
 
-def involutions(G, index, moduli):
+def involution(index, moduli):
+    """The element (0, 1), whose class is every involution."""
     return index[(tuple(0 for _ in moduli), 1)]
 
 
@@ -78,7 +79,7 @@ def involutions(G, index, moduli):
 ])
 def test_h2_structure_is_the_wedge_square_on_the_involutions(moduli, window, bound):
     G, index = inversion_extension(moduli)
-    gamma = make_gamma(G, [involutions(G, index, moduli)])
+    gamma = make_gamma(G, [involution(index, moduli)])
     rep = h2_structure(G, gamma, window=window)
     want = wedge_square(moduli)
     assert rep.structure == want
@@ -92,7 +93,7 @@ def test_h2_structure_with_a_second_class_quotients_by_e1(moduli, structure):
     G, index = inversion_extension(moduli)
     zero = tuple(0 for _ in moduli)
     e1 = (1,) + zero[1:]
-    gamma = make_gamma(G, [involutions(G, index, moduli), index[(e1, 0)]])
+    gamma = make_gamma(G, [involution(index, moduli), index[(e1, 0)]])
     rep = h2_structure(G, gamma, window=4)
     assert rep.structure == wedge_square(moduli, killed=1) == structure
     assert rep.order == math.prod(structure)
