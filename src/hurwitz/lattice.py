@@ -160,8 +160,7 @@ class OrbitLattice:
         self._sub: list[int] = []
         self._level: list[tuple[int, ...]] = []  # interned through _levels
         self._canon: list = []  # None until computed, for a level of several blocks
-        # level -> (the interned level, whether it counts a single class)
-        self._levels = _Levels()
+        self._levels: dict[tuple[int, ...], tuple[int, ...]] = {}
         # the append table: slot c * n + a holds the row base of the class
         # of sort(rep(c) + (a,)), or -1 while it is unbuilt or unfilled
         self._next: list[int] = []
@@ -203,7 +202,7 @@ class OrbitLattice:
         empty = self._word_of()
         # node 0: the empty tuple's class
         zero = (0,) * self._nclasses
-        self._levels[zero] = (zero, False)
+        self._levels[zero] = zero
         self._bases.append(0)
         self._pre.append(())
         self._let.append(empty)
@@ -231,6 +230,13 @@ class OrbitLattice:
         return self._sub[node]
 
     def canonical(self, node: int) -> tuple[int, ...]:
+        """The class's least arrangement.
+
+        On a level of several blocks it is computed on first use
+        (`_canonical_word`), which may build nodes (the complete levels below
+        the node, and the heads of its least letter) and so raise
+        CapExceeded, also after `class_of` of the node has returned.
+        """
         word = self._canon[node]
         return tuple(word if word is not None else self._canonical_word(node))
 
@@ -358,12 +364,12 @@ class OrbitLattice:
         states = sorted(seen)
         base_level = self._level[node]
         level = base_level[:cid] + (base_level[cid] + 1,) + base_level[cid + 1 :]
-        level, one_block = self._levels[level]
+        level = self._levels.setdefault(level, level)
         ev = self._mul[self._ev[node]][g]
         sub = self._subgroup_with(self._sub[node], g)
         if orbit:
-            return self._add_orbit(states, ev, sub, level, one_block)
-        return self._add_node(states, ev, sub, level, one_block)
+            return self._add_orbit(states, ev, sub, level)
+        return self._add_node(states, ev, sub, level)
 
     def _full_states(self, nu: tuple[int, ...], orbit: bool) -> dict[int, list[int]]:
         """Each class at ``nu`` -> its full states q * n + b with b not central.
@@ -393,14 +399,13 @@ class OrbitLattice:
             self._full[nu] = hit
         return hit
 
-    def _add_node(self, states: list[int], ev: int, sub: int, level: tuple[int, ...],
-                  one_block: bool) -> int:
+    def _add_node(self, states: list[int], ev: int, sub: int, level: tuple[int, ...]) -> int:
         """Add the class with the given sorted states; return its row base.
 
-        ``level`` and ``one_block`` are its entry in `_levels`.  The one
-        place a class is added.  Everything that can raise (the cap here, the
-        subgroup and level in the caller) comes before the first append, so
-        that the parallel node lists stay in step.
+        ``level`` is interned through `_levels`.  The one place a class is
+        added.  Everything that can raise (the cap here, the subgroup and
+        level in the caller) comes before the first append, so that the
+        parallel node lists stay in step.
         """
         n = self._n
         nid = len(self._size)
@@ -416,7 +421,7 @@ class OrbitLattice:
         best = None
         pre = []
         let = []
-        if one_block:
+        if level.count(0) == len(level) - 1:
             # one block: every arrangement is sorted, so the states give the
             # canonical representative at once
             for p in states:
@@ -454,8 +459,7 @@ class OrbitLattice:
             nxt[p] = mine
         return mine
 
-    def _add_orbit(self, states: list[int], ev: int, sub: int, level: tuple[int, ...],
-                   one_block: bool) -> int:
+    def _add_orbit(self, states: list[int], ev: int, sub: int, level: tuple[int, ...]) -> int:
         """Add the class with sorted ``states``, then every unbuilt class of
         its conjugation orbit, found by transport; return the first's row base.
 
@@ -471,7 +475,7 @@ class OrbitLattice:
         nxt = self._next
         pre_of, let_of = self._pre, self._let
         conj_of = self._conj_of
-        top = self._add_node(states, ev, sub, level, one_block)
+        top = self._add_node(states, ev, sub, level)
         members = [top]
         seen = {top}
         for m in members:
@@ -495,7 +499,7 @@ class OrbitLattice:
                         image.sort()
                         t = self._add_node(image, fs[self._ev[x]],
                                            self._subgroup_with(self._sub[cs // n], fs[a]),
-                                           level, one_block)
+                                           level)
                     cmap[x] = t
                 if t not in seen:
                     seen.add(t)
@@ -510,7 +514,8 @@ class OrbitLattice:
         conjugate is the class of rep(c^s) + (a^s), down the chain of first
         states to a known conjugate.  Only the prefixes of a class being
         transported come here, and they lie on a complete level, which is
-        closed under conjugation, so every conjugate on the chain is built.
+        closed under conjugation, so every conjugate on the chain is built;
+        one that is not raises RuntimeError rather than store -1.
         """
         n = self._n
         chain = []
@@ -521,6 +526,8 @@ class OrbitLattice:
             t = cmap[x]
         for x in reversed(chain):
             cmap[x] = t = self._next[t + fs[self._let[x][0]]]
+            if t < 0:
+                raise RuntimeError(f"conjugate of a prefix of node {x} is unbuilt")
         return t
 
     def append_word(self, node: int, word: tuple[int, ...]) -> int:
@@ -613,13 +620,15 @@ class OrbitLattice:
         hit = self._classes_at.get(nu)
         if hit is None:
             # a level is closed under conjugation, so its builds transport
-            # (when G is not abelian)
-            found = self._complete_level(nu, bool(self._gens))
-            canon = self._canon
-            for x in found:
-                if canon[x] is None:
-                    self._canonical_word(x)
-            hit = self._classes_at[nu] = tuple(sorted(found, key=canon.__getitem__))
+            # (when G is not abelian); on one block it is sorted already
+            hit = self._complete_level(nu, bool(self._gens))
+            if nu.count(0) != len(nu) - 1:
+                canon = self._canon
+                for x in hit:
+                    if canon[x] is None:
+                        self._canonical_word(x)
+                hit = tuple(sorted(hit, key=canon.__getitem__))
+            self._classes_at[nu] = hit
         return hit
 
     def _complete_level(self, nu: tuple[int, ...], orbit: bool) -> tuple[int, ...]:
@@ -654,7 +663,7 @@ class OrbitLattice:
             # on one block the canonical representatives are at hand, and
             # the next level is built in their order
             hit = memo[nu] = tuple(sorted(found, key=canon.__getitem__)
-                                   if self._levels[nu][1] else found)
+                                   if nu.count(0) == len(nu) - 1 else found)
         return hit
 
     # -- canonical representatives ----------------------------------------------
@@ -770,15 +779,6 @@ class OrbitLattice:
             hit = self._subgroups[bits] = (
                 inside, all(mul[x][y] == mul[y][x] for x in inside for y in inside))
         return hit
-
-
-class _Levels(dict):
-    """Level -> (the interned level, whether it counts a single class),
-    filled on first lookup."""
-
-    def __missing__(self, level: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
-        entry = self[level] = (level, level.count(0) == len(level) - 1)
-        return entry
 
 
 def get_lattice(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> OrbitLattice:

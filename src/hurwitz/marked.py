@@ -45,7 +45,12 @@ class MarkedClass:
 
 
 def marked_orbit(G: FiniteGroup, mv: MarkedVector, caps: Caps = DEFAULT_CAPS) -> MarkedClass:
-    """Class of a marked vector: its prefix with the tail's braid class."""
+    """Class of a marked vector: its prefix with the tail's braid class.
+
+    The tail's class and its canonical member may build lattice nodes (on a
+    level of several classes the canonical member is computed on first use),
+    all within ``caps.lattice_nodes``: CapExceeded past it.
+    """
     _check_entries(mv.prefix, G.order)
     L = get_lattice(G, caps)
     node = L.class_of(mv.tail)

@@ -698,6 +698,18 @@ def test_class_of_builds_are_unchanged_by_transport():
     assert all(x < 0 for cmap in L._conj for x in cmap[1:])
 
 
+def test_conjugate_of_a_sparse_prefix_raises(s3):
+    # transport reads the conjugates of a class's prefixes off the table,
+    # which holds them on complete levels; a prefix class that class_of
+    # built alone has no conjugate there, and the lookup raises rather
+    # than store -1 as a row base
+    L = OrbitLattice(s3)
+    x = L.class_of((1, 1))
+    i = next(i for i, fs in enumerate(L._gens) if fs[1] != 1)
+    with pytest.raises(RuntimeError, match="unbuilt"):
+        L._conj_of(L._gens[i], L._conj[i], x)
+
+
 def class_of_history(G, nu, seed, count=12):
     """Random tuples of the classes of ``nu``, at most as many of each."""
     members = G.classes.members
@@ -766,7 +778,9 @@ def test_cap_inside_an_orbit_stops_at_the_cap(history):
     # every cap short of the level fires inside an orbit transport, exactly
     # at the cap: the classes added before it stay, each complete; the
     # lattice stays consistent and finishing the level gives the answers of
-    # a fresh lattice and the node set of the same history run uncapped
+    # a fresh lattice, and its nodes are the fresh lattice's together with
+    # those the class_of history builds on its own (its insertion slots
+    # reach levels off the staircase of nu)
     G = build_builtin("alt:4")
     nu = (0, 3, 3, 0)
     fresh = OrbitLattice(G)
@@ -778,12 +792,14 @@ def test_cap_inside_an_orbit_stops_at_the_cap(history):
             L.class_of(v)
         return L, L.node_count()
 
+    alone, _ = start()
+    expected = ({node_record(fresh, x) for x in range(fresh.node_count())}
+                | {node_record(alone, x) for x in range(alone.node_count())})
     L, before = start()
     L.classes_at(nu)
     needed = L.node_count() - before
     total = L.node_count()
-    if not history:
-        assert total == fresh.node_count()
+    assert total == len(expected) == (120 if history else 60)
     for limit in range(1, needed):
         L, before = start()
         L.limit_new_nodes(limit)
@@ -795,3 +811,4 @@ def test_cap_inside_an_orbit_stops_at_the_cap(history):
         L.limit_new_nodes(10**6)
         assert [node_record(L, x) for x in L.classes_at(nu)] == want
         assert L.node_count() == total
+        assert {node_record(L, x) for x in range(total)} == expected

@@ -1,17 +1,23 @@
 import itertools
+import random
 import re
 
 import pytest
 
 from hurwitz import (
+    CapExceeded,
+    Caps,
     FiberSpec,
     MarkedVector,
     enumerate_classes,
     enumerate_marked_classes,
     marked_orbit,
     monoid_act,
+    build_builtin,
     orbit,
     orbit_members,
+    sigma,
+    sigma_inv,
 )
 from conftest import el, two_sided_orbit
 
@@ -136,3 +142,42 @@ def test_prefix_width_is_checked(s3, s3_all):
     with pytest.raises(ValueError, match="width 2"):
         enumerate_marked_classes(s3, 2, FiberSpec(nu=(0, 2, 0), gamma=s3_all),
                                  prefixes=[(0, 1, 2)])
+
+
+@pytest.mark.parametrize("spec, d, nodes", [("sym:3", 300, 35_037), ("sym:4", 60, 16_111)])
+def test_marked_orbit_of_a_long_multi_class_tail_is_pinned(spec, d, nodes):
+    """A long random tail of several classes on a fresh group: its canonical
+    member builds no node beyond those that identify the tail, and a braided
+    copy of the tail gets the same marked class (identifying another word
+    fills that word's own insertion slots, so the count is taken first)."""
+    G = build_builtin(spec)
+    rng = random.Random(1)
+    tail = tuple(rng.randrange(G.order) for _ in range(d))
+    mc = marked_orbit(G, MarkedVector((1,), tail))
+    L = G._lattice
+    assert L.node_count() == nodes
+    w = tail
+    for _ in range(d):
+        w = (sigma if rng.random() < 0.5 else sigma_inv)(G, rng.randrange(1, d), w)
+    assert w != tail
+    assert marked_orbit(G, MarkedVector((1,), w)) == mc
+    assert L.class_of(mc.canonical.tail) == L.class_of(tail)
+
+
+def test_marked_orbit_builds_its_canonical_member_within_the_cap():
+    """On a level of several blocks the canonical member is computed on
+    first use and may build nodes past the tail's class: for this alt:5
+    tail, 76 new nodes identify it and 223 give its canonical member.  Both
+    count against ``caps.lattice_nodes``; a cap short of them raises, and
+    the answer after a cap error is the raw orbit's."""
+    tail = (56, 34, 25, 48)
+    for cap in (76, 100, 222):
+        G = build_builtin("alt:5")
+        with pytest.raises(CapExceeded):
+            marked_orbit(G, MarkedVector((7,), tail), Caps(lattice_nodes=cap))
+        assert G._lattice.node_count() == 1 + cap
+        mc = marked_orbit(G, MarkedVector((7,), tail))
+        assert G._lattice.node_count() == 224
+    o = orbit(G, tail)
+    assert mc == marked_orbit(build_builtin("alt:5"), MarkedVector((7,), tail), Caps(lattice_nodes=223))
+    assert (mc.canonical.tail, mc.size, mc.nu) == (o.canonical, o.size, o.nu)
