@@ -1,7 +1,8 @@
 """Command-line surface: orbit, classes, stability, h2, stable-eq.
 
 Exit codes: 0 success (or verdict "true"), 1 verdict "false", 2 usage or
-parse error, 3 indeterminate outcome or an exceeded cap.  JSONL output is
+parse error, 3 indeterminate outcome or an exceeded cap, 141 (128 + SIGPIPE)
+when the reader closes stdout before the output ends.  JSONL output is
 byte-deterministic for a fixed configuration; pretty tables are for humans
 and carry no such guarantee.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .braid import (Caps, DEFAULT_CAPS, METHODS, FiberSpec, _class_from_members,
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ends
 
 
 # -- argument parsing helpers -------------------------------------------------
@@ -347,6 +350,13 @@ def main(argv: list[str] | None = None) -> int:
     except (HurwitzError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone (``| head``): point stdout at devnull so that
+        # the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

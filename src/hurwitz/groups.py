@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations as _all_permutations
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -95,9 +96,6 @@ class FiniteGroup:
         self.label = label
         _validate_table(self.mul)
         self.inv = _inverse_table(self.mul)
-        self._conj_table: list[list[int]] | None = None
-        self._classes: ConjClassTable | None = None
-        self._orders: list[int] | None = None
 
     # -- basic arithmetic ------------------------------------------------
 
@@ -112,34 +110,26 @@ class FiniteGroup:
 
     # -- cached structure ------------------------------------------------
 
-    @property
+    @cached_property
     def conj_table(self) -> list[list[int]]:
         """conj_table[a][b] = b^-1 a b, the hot lookup for braid moves."""
-        if self._conj_table is None:
-            n, mul, inv = self.order, self.mul, self.inv
-            self._conj_table = [
-                [mul[mul[inv[b]][a]][b] for b in range(n)] for a in range(n)
-            ]
-        return self._conj_table
+        n, mul, inv = self.order, self.mul, self.inv
+        return [[mul[mul[inv[b]][a]][b] for b in range(n)] for a in range(n)]
 
-    @property
+    @cached_property
     def classes(self) -> ConjClassTable:
-        if self._classes is None:
-            self._classes = _conjugacy_classes(self)
-        return self._classes
+        return _conjugacy_classes(self)
 
-    @property
+    @cached_property
     def element_orders(self) -> list[int]:
-        if self._orders is None:
-            out = []
-            for a in range(self.order):
-                x, k = a, 1
-                while x != 0:
-                    x = self.mul[x][a]
-                    k += 1
-                out.append(k)
-            self._orders = out
-        return self._orders
+        out = []
+        for a in range(self.order):
+            x, k = a, 1
+            while x != 0:
+                x = self.mul[x][a]
+                k += 1
+            out.append(k)
+        return out
 
     def full_mask(self) -> SubgroupMask:
         return SubgroupMask((1 << self.order) - 1, self.order)

@@ -184,8 +184,7 @@ def _torsor(L: OrbitLattice, level: tuple[int, ...], shift: tuple[int, ...],
 
 def torsor_compose(ctx: TorsorContext, x: TorsorElement, y: TorsorElement) -> TorsorElement:
     """x . y = unique z at the level with z + s ~ x + y."""
-    L = ctx.lattice
-    z = ctx._shifted.get(L.append_word(x.node, L.canonical(y.node)))
+    z = ctx._shifted.get(ctx.lattice.append_word(x.node, y.cls.canonical))
     if z is None:
         raise HomologyError(
             "composition is not uniquely defined (0 matches); "

@@ -101,24 +101,25 @@ the complete levels below it.
 Simultaneous conjugation by an element s of G commutes with the braid
 moves and keeps class ids, so it permutes the classes of every level: the
 states (c, a) of a class X map to the states (c^s, a^s) of X^s, which has
-X's size and level.  `classes_at` builds by this *transport*.  When one of
-its builds closes a class, the rest of the class's orbit under conjugation
-by the non-central elements of a generating set is built from it without a
-closure, and the closure passes the same flag down to the builds nested in
-it.  Each conjugate is added as soon as its states are mapped, one class at
-a time through the same helper as a closed class, so the lattice is
-consistent after every class and a cap error leaves the classes added before
-it, each one complete.  A transported class lies on a level whose staircase
-below is complete, and complete levels are closed under conjugation, so the
-conjugates of its prefixes are all built.  Only `classes_at` and the
-complete levels it reads transport: sparse requests would pay for conjugates
-nobody asked for, so `class_of`, `append_word` and `shift` close every class
-they build, node for node.  The conjugates are kept in one map per
-generator, `_conj[i]`, from node to the conjugate's row base (again the
-`_bases` object, so 8 bytes per generator per node: 16 for sym:3 and alt:4,
-none for an abelian group, which has no non-central generator) or -1 while
-unknown; a prefix built outside `classes_at` gets its conjugate when a
-transport first needs it, through one of its states.
+X's size and level.  One rule uses this *transport*: a complete level is
+closed under conjugation, so when `_complete_level`, the one loop that
+completes a level, closes a class, it then builds the rest of the class's
+orbit under conjugation by the non-central elements of a generating set
+without a closure (`_transport`).  That holds whoever asked for the level:
+`classes_at`, or a closure that reads the full states or heads of a level.
+Every other build closes the one class it is asked for, since sparse
+requests would pay for conjugates nobody asked for.  Each conjugate is added
+as soon as its states are mapped, one class at a time through `_add_node`,
+so the lattice is consistent after every class and a cap error leaves the
+classes added before it, each one complete.  A transported class lies on a
+level whose staircase below is complete, and complete levels are closed
+under conjugation, so the conjugates of its prefixes are all built.  The
+conjugates are kept in one map per generator, `_conj[i]`, from node to the
+conjugate's row base (again the `_bases` object, so 8 bytes per generator
+per node: 16 for sym:3 and alt:4, none for an abelian group, which has no
+non-central generator) or -1 while unknown; a class built before its level
+was completed gets its conjugate when a transport first needs it, through
+one of its states.
 
 Stabiliser words are appended over and over (stability searches,
 stable-equivalence verdicts, homology shifts), so their append maps are
@@ -165,13 +166,11 @@ class OrbitLattice:
         # of sort(rep(c) + (a,)), or -1 while it is unbuilt or unfilled
         self._next: list[int] = []
         self._empty_row = [-1] * n
-        # complete class sets per level (`_complete_level`), and the same
-        # sorted by canonical representative
+        # complete class sets per level (`_complete_level`)
         self._complete: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._classes_at: dict[tuple[int, ...], tuple[int, ...]] = {}
         # per level: node -> its full states q * n + b with b not central
         self._full: dict[tuple[int, ...], dict[int, list[int]]] = {}
-        # per (level, letter a): node -> the prefix classes t with
+        # per (level, letter a): node -> the states t * n + a with
         # sort(rep(t) + (a,)) in it
         self._heads: dict[tuple, dict[int, list[int]]] = {}
         self._subgroups: dict[int, tuple[tuple[int, ...], bool]] = {}
@@ -212,7 +211,7 @@ class OrbitLattice:
         self._sub.append(1)  # {identity}
         self._level.append(zero)
         self._canon.append(empty)
-        self._complete[zero] = self._classes_at[zero] = (0,)
+        self._complete[zero] = (0,)
         self.limit_new_nodes(DEFAULT_CAPS.lattice_nodes)
 
     # -- accessors ---------------------------------------------------------
@@ -267,7 +266,7 @@ class OrbitLattice:
         self._cap_base = len(self._size)
         self.max_nodes = self._cap_base + limit
 
-    def _insert(self, base: int, g: int, orbit: bool) -> int:
+    def _insert(self, base: int, g: int) -> int:
         """Fill the slot of a letter g that belongs before the last block.
 
         g moves left unchanged, and each entry b it passes becomes b^g:
@@ -292,16 +291,16 @@ class OrbitLattice:
                 break
             last = let_of[t // n]
             if not last or cg <= cls[last[0]]:
-                hit = self._new_class(t, g, orbit)
+                hit = self._new_class(t, g)
                 break
         for t, b in reversed(chain):
             up = nxt[hit + b]
             if up < 0:
-                up = self._new_class(hit, b, orbit)
+                up = self._new_class(hit, b)
             nxt[t + g] = hit = up
         return hit
 
-    def _new_class(self, base: int, g: int, orbit: bool = False) -> int:
+    def _new_class(self, base: int, g: int) -> int:
         """Fill the unfilled slot of g on node base // n: the class of
         sort(rep(base // n) + (g,)).
 
@@ -309,9 +308,9 @@ class OrbitLattice:
         block is an insertion (`_insert`).  Otherwise g continues or starts
         the last block, and the class is new: the table holds every state of
         every class built, so the start state begins a new class, and misses
-        inside the closure only reach lower levels.  With ``orbit`` the
-        class's conjugation orbit is built with it, and so are the orbits of
-        the classes the closure builds.
+        inside the closure only reach lower levels.  It builds by closure
+        only and ends in `_add_node`; the one caller that transports the new
+        class across its conjugation orbit is `_complete_level`.
         """
         n = self._n
         nxt = self._next
@@ -335,15 +334,15 @@ class OrbitLattice:
                     # sigma on the last two strands: (b, a) -> (a, b^a)
                     child = nxt[q + a]
                     if child < 0:
-                        child = new_class(q, a, orbit)
+                        child = new_class(q, a)
                     s = child + fwd[b]
                     if s not in seen:
                         add(s)
                         push(s)
         elif cid > self._class_of[last[0]]:
-            return self._insert(base, g, orbit)
+            return self._insert(base, g)
         elif not self._central[g]:
-            full = self._full_states(self._level[node], orbit)
+            full = self._full_states(self._level[node])
             while stack:
                 p = pop()
                 a = p % n
@@ -356,7 +355,7 @@ class OrbitLattice:
                     q = s - b
                     child = nxt[q + c]
                     if child < 0:
-                        child = new_class(q, c, orbit)
+                        child = new_class(q, c)
                     r = child + fwd_of[c][a]
                     if r not in seen:
                         add(r)
@@ -367,11 +366,9 @@ class OrbitLattice:
         level = self._levels.setdefault(level, level)
         ev = self._mul[self._ev[node]][g]
         sub = self._subgroup_with(self._sub[node], g)
-        if orbit:
-            return self._add_orbit(states, ev, sub, level)
         return self._add_node(states, ev, sub, level)
 
-    def _full_states(self, nu: tuple[int, ...], orbit: bool) -> dict[int, list[int]]:
+    def _full_states(self, nu: tuple[int, ...]) -> dict[int, list[int]]:
         """Each class at ``nu`` -> its full states q * n + b with b not central.
 
         A full state is a last letter b that the class shows in some
@@ -382,22 +379,28 @@ class OrbitLattice:
         """
         hit = self._full.get(nu)
         if hit is None:
-            n, nxt, new_class = self._n, self._next, self._new_class
             central = self._central
             hit = {}
             for p, k in enumerate(nu):
                 members = self._members[p]
-                if not k or central[members[0]]:
-                    continue
-                for t in self._complete_level(nu[:p] + (k - 1,) + nu[p + 1 :], orbit):
-                    q = t * n
-                    for b in members:
-                        y = nxt[q + b]
-                        if y < 0:
-                            y = new_class(q, b, orbit)
-                        hit.setdefault(y // n, []).append(q + b)
+                if k and not central[members[0]]:
+                    self._invert(hit, nu, p, members)
             self._full[nu] = hit
         return hit
+
+    def _invert(self, into: dict[int, list[int]], nu: tuple[int, ...], p: int,
+                letters: tuple[int, ...]) -> None:
+        """File each state q * n + b, q a class of the complete level
+        nu - e_p and b in ``letters`` (of class p), under the class at ``nu``
+        of sort(rep(q) + (b,)), building its slot if it is unfilled."""
+        n, nxt = self._n, self._next
+        for t in self._complete_level(nu[:p] + (nu[p] - 1,) + nu[p + 1 :]):
+            q = t * n
+            for b in letters:
+                y = nxt[q + b]
+                if y < 0:
+                    y = self._new_class(q, b)
+                into.setdefault(y // n, []).append(q + b)
 
     def _add_node(self, states: list[int], ev: int, sub: int, level: tuple[int, ...]) -> int:
         """Add the class with the given sorted states; return its row base.
@@ -417,33 +420,27 @@ class OrbitLattice:
             cmap.append(-1)
         # plain loops: a comprehension would make n a closure cell
         bases, size, canon, letters = self._bases, self._size, self._canon, self._letters
+        # one block: every arrangement is sorted, so the states give the
+        # canonical representative at once
+        one_block = level.count(0) == len(level) - 1
         total = 0
         best = None
         pre = []
         let = []
-        if level.count(0) == len(level) - 1:
-            # one block: every arrangement is sorted, so the states give the
-            # canonical representative at once
-            for p in states:
-                c = p // n
-                a = p - c * n
-                pre.append(bases[c])
-                let.append(a)
-                total += size[c]
+        for p in states:
+            c = p // n
+            a = p - c * n
+            pre.append(bases[c])
+            let.append(a)
+            total += size[c]
+            if one_block:
                 word = canon[c] + letters[a]
                 if best is None or word < best:
                     best = word
-        else:
-            for p in states:
-                c = p // n
-                a = p - c * n
-                pre.append(bases[c])
-                let.append(a)
-                total += size[c]
-            # |X| = (d / k) * sum of |c|, k the count of a's class: each
-            # sorted tuple of X stands for d / k times the arrangements of
-            # one of its prefix's
-            total = total * sum(level) // level[self._class_of[a]]
+        # |X| = (d / k) * sum of |c|, k the count of a's class: each sorted
+        # tuple of X stands for d / k times the arrangements of one of its
+        # prefix's (d = k on one block)
+        total = total * sum(level) // level[self._class_of[a]]
         bases.append(mine)
         self._pre.append(tuple(pre))
         self._let.append(self._word_of(let))
@@ -459,9 +456,9 @@ class OrbitLattice:
             nxt[p] = mine
         return mine
 
-    def _add_orbit(self, states: list[int], ev: int, sub: int, level: tuple[int, ...]) -> int:
-        """Add the class with sorted ``states``, then every unbuilt class of
-        its conjugation orbit, found by transport; return the first's row base.
+    def _transport(self, top: int) -> None:
+        """Add every unbuilt class of the conjugation orbit of the class with
+        row base ``top``, found by transport.
 
         A breadth-first search over the orbit.  A member whose conjugate is
         unknown reads the conjugate's slot through its first state; if that
@@ -475,7 +472,7 @@ class OrbitLattice:
         nxt = self._next
         pre_of, let_of = self._pre, self._let
         conj_of = self._conj_of
-        top = self._add_node(states, ev, sub, level)
+        level = self._level[top // n]
         members = [top]
         seen = {top}
         for m in members:
@@ -504,7 +501,6 @@ class OrbitLattice:
                 if t not in seen:
                     seen.add(t)
                     members.append(t)
-        return top
 
     def _conj_of(self, fs: tuple[int, ...], cmap: list[int], x: int) -> int:
         """Row base of the conjugate of node ``x`` under the conjugation
@@ -617,27 +613,25 @@ class OrbitLattice:
         if len(nu) != self._nclasses:
             raise ValueError(f"level has {len(nu)} entries, group has {self._nclasses} classes")
         _check_counts(nu, "level")
-        hit = self._classes_at.get(nu)
-        if hit is None:
-            # a level is closed under conjugation, so its builds transport
-            # (when G is not abelian); on one block it is sorted already
-            hit = self._complete_level(nu, bool(self._gens))
-            if nu.count(0) != len(nu) - 1:
-                canon = self._canon
-                for x in hit:
-                    if canon[x] is None:
-                        self._canonical_word(x)
-                hit = tuple(sorted(hit, key=canon.__getitem__))
-            self._classes_at[nu] = hit
-        return hit
+        hit = self._complete_level(nu)
+        if nu.count(0) == len(nu) - 1:
+            return hit  # one block: sorted already
+        canon = self._canon
+        for x in hit:
+            if canon[x] is None:
+                self._canonical_word(x)
+        return tuple(sorted(hit, key=canon.__getitem__))
 
-    def _complete_level(self, nu: tuple[int, ...], orbit: bool) -> tuple[int, ...]:
+    def _complete_level(self, nu: tuple[int, ...]) -> tuple[int, ...]:
         """Complete class set at ``nu``: sorted by canonical representative
         on one block, in set order on several.
 
         The set at nu extends the one at nu - e_p by the members of class p,
         the first class nu counts, which ends the last block: the chain is
-        the staircase of nu, and each level of it is memoised.
+        the staircase of nu, and each level of it is memoised.  A complete
+        level is closed under conjugation, so each class closed here is
+        transported across its orbit (`_transport`), and the loop then meets
+        its conjugates built.
         """
         memo = self._complete
         hit = memo.get(nu)
@@ -658,7 +652,8 @@ class OrbitLattice:
                 for g in members:
                     t = nxt[base + g]
                     if t < 0:
-                        t = self._new_class(base, g, orbit)
+                        t = self._new_class(base, g)
+                        self._transport(t)
                     found.add(t // n)
             # on one block the canonical representatives are at hand, and
             # the next level is built in their order
@@ -745,6 +740,7 @@ class OrbitLattice:
                 heads = self._heads_at(self._level[x], b).get(x)
                 if heads:
                     a = b
+                    heads = [s // n for s in heads]
                     break
         if not heads:
             heads = [q // n for q, b in zip(self._pre[x], lets) if b == a]
@@ -754,19 +750,13 @@ class OrbitLattice:
         return a, heads
 
     def _heads_at(self, nu: tuple[int, ...], a: int) -> dict[int, list[int]]:
-        """Each class at ``nu`` -> its prefixes t at nu - e_class(a) with
-        sort(rep(t) + (a,)) in it, over the complete level below."""
+        """Each class at ``nu`` -> its states t * n + a with t at
+        nu - e_class(a), over the complete level below."""
         key = (nu, a)
         hit = self._heads.get(key)
         if hit is None:
-            n, nxt = self._n, self._next
-            p = self._class_of[a]
             hit = {}
-            for t in self._complete_level(nu[:p] + (nu[p] - 1,) + nu[p + 1 :], bool(self._gens)):
-                y = nxt[t * n + a]
-                if y < 0:
-                    y = self._new_class(t * n, a)
-                hit.setdefault(y // n, []).append(t)
+            self._invert(hit, nu, self._class_of[a], (a,))
             self._heads[key] = hit
         return hit
 

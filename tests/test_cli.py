@@ -259,6 +259,22 @@ def test_classes_deterministic_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_closed_pipe_exits_141_quietly():
+    # a reader that stops after one line (``| head -1``): 650 KB of members
+    # overfill the pipe, so the writer meets the closed end whatever the
+    # timing, and exits 141 (128 + SIGPIPE) with nothing on stderr
+    cmd = [sys.executable, "-m", "hurwitz.cli", "orbit", "--group", "sym:3",
+           "--tuple", "1,2,1,2,1,2,1,2,1,2", "--members", "--format", "jsonl"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert json.loads(first)["size"] > 0
+    assert err == b""
+
+
 def test_classes_cap_exceeded_exits_3(capsys):
     code, _, err = run_cli(capsys, "classes", "--group", "sym:3", "--gamma", "(12)",
                            "--nielsen", "c1:4", "--method", "direct",
@@ -421,8 +437,9 @@ def test_tsv_and_pretty_formats(capsys):
     assert "size" in out
 
 
-# exact stdout of the stability and h2 records: their keys, the lists written
-# for tuples and None written as null or "-" are all part of the output
+# exact stdout of the stability, h2 and classes records: their keys, the
+# lists written for tuples and None written as null or "-" are all part of
+# the output
 GOLDEN = [
     (("stability", "--group", "sym:3", "--gamma", "all-nontrivial", "--window", "2",
       "--format", "jsonl"),
@@ -448,11 +465,28 @@ GOLDEN = [
      "True\t-\t-\t3\t-\t3\tTrue\t1\t[0,12,12]\t-\tTrue\t-\t-\n"
      "-\t-\t-\t3\t-\t3\t-\t2\t[0,18,18]\t-\t-\t-\t-\n"
      "-\t0\tTrue\t-\t-\t-\t-\t-\t-\t[0,6,6]\t-\t6\t2\n"),
+    # several classes: the base point is the least arrangement that the
+    # lattice computes on first use
+    (("h2", "--group", "quaternion:8", "--gamma", "all-nontrivial", "--window", "2",
+      "--structure", "--format", "jsonl"),
+     '{"base_point":[1,1,2,2,2,2,4,4,4,4,6,6,6,6],"bound":0,"commutator_order":2,'
+     '"confident":true,"cross_checks":[[[0,4,8,8,8],2]],"order":1,'
+     '"slice_counts":[[0,1],[1,1]],"stable_level":[0,2,4,4,4],"structure":[]}\n'),
+    (("classes", "--group", "sym:3", "--gamma", "all-nontrivial", "--nielsen", "0,4,4",
+      "--format", "jsonl"),
+     '{"canonical":[1,1,1,1,3,3,3,3],"canonical_names":"[(23),(23),(23),(23),(123),(123),'
+     '(123),(123)]","ev":3,"ev_name":"(123)","nu":[0,4,4],"size":30240,"subgroup_order":6}\n'
+     '{"canonical":[1,1,1,1,3,3,3,4],"canonical_names":"[(23),(23),(23),(23),(123),(123),'
+     '(123),(132)]","ev":4,"ev_name":"(132)","nu":[0,4,4],"size":30240,"subgroup_order":6}\n'
+     '{"canonical":[1,1,1,1,3,3,4,4],"canonical_names":"[(23),(23),(23),(23),(123),(123),'
+     '(132),(132)]","ev":0,"ev_name":"e","nu":[0,4,4],"size":30240,"subgroup_order":6}\n'
+     '{"fiber":"nu=0,4,4;gamma=1,2","group":"sym:3","total_classes":3}\n'),
 ]
 
 
 @pytest.mark.parametrize("argv, expected", GOLDEN, ids=["stability-jsonl", "h2-jsonl",
-                                                        "stability-tsv"])
+                                                        "stability-tsv", "h2-q8-jsonl",
+                                                        "classes-s3-jsonl"])
 def test_stability_and_h2_stdout_bytes(capsys, argv, expected):
     assert run_cli(capsys, *argv) == (0, expected, "")
 

@@ -663,30 +663,57 @@ def test_transported_classes_match_the_closure_path(spec, nu):
     assert_memo_matches_states(L, G)
 
 
+def sym4_history(G, L):
+    rng = random.Random(6)
+    return [L.class_of(tuple(rng.randrange(G.order) for _ in range(4))) for _ in range(40)]
+
+
+def alt4_shifts(G, L):
+    u = u_gamma(G, make_gamma(G, [el(G, "(123)")]))
+    return [L.append_word(0, (2, 9, 2, 4, 9)),
+            L.shift(L.class_of((2, 2, 9)), u.vector),
+            L.shift(L.class_of((9, 9, 2, 4)), u.vector * 2)]
+
+
 def test_transport_builds_the_closure_path_nodes():
-    # same node set and answers as a lattice that closes every class; only
-    # the build order differs
-    for spec, nu in (("sym:3", (0, 8, 8)), ("alt:4", (0, 6, 6, 0)), ("dihedral:4", (0, 2, 3, 3, 3))):
+    # same node count, node set and answers as a lattice that closes every
+    # class; only the build order differs.  class_of work transports the
+    # complete levels it reaches for full states, and closes the rest
+    cases = (
+        ("sym:3", lambda G, L: L.classes_at((0, 8, 8)), None),
+        ("alt:4", lambda G, L: L.classes_at((0, 6, 6, 0)), None),
+        ("dihedral:4", lambda G, L: L.classes_at((0, 2, 3, 3, 3)), None),
+        ("sym:4", sym4_history, 380),
+        ("alt:4", alt4_shifts, 305),
+        ("quaternion:8", lambda G, L: [L.class_of(v) for v in class_of_history(G, (0, 2, 2, 2, 1), 2)],
+         36),
+    )
+    for spec, work, count in cases:
         G = build_builtin(spec)
         L, ref = OrbitLattice(G), closure_only(G)
-        assert ([node_record(L, x) for x in L.classes_at(nu)]
-                == [node_record(ref, x) for x in ref.classes_at(nu)])
+        assert [node_record(L, x) for x in work(G, L)] == [node_record(ref, x) for x in work(G, ref)]
         assert L.node_count() == ref.node_count()
+        assert count is None or L.node_count() == count
         assert ({node_record(L, x) for x in range(L.node_count())}
                 == {node_record(ref, x) for x in range(ref.node_count())})
 
 
 def test_class_of_builds_are_unchanged_by_transport():
-    # builds reached from class_of, append_word and shift are closures, node
-    # for node and in the same order as before classes were transported:
-    # the digests were computed on the lattice that closed every class
+    # class_of, append_word and shift close every class they ask for; only
+    # the complete levels they reach for full states are transported, so
+    # conjugates are known on complete levels alone.  The node counts are
+    # those of the lattice that closes every class; the sym:4 order is not
     G = build_builtin("sym:4")
     rng = random.Random(6)
     L = OrbitLattice(G)
     for _ in range(40):
         L.class_of(tuple(rng.randrange(G.order) for _ in range(4)))
     assert L.node_count() == 380
-    assert lattice_fingerprint(L) == "23130f8d6c23f55a9760cd0d57f8960b34613fd34345c76f92ecde2ea68db39a"
+    assert lattice_fingerprint(L) == "9718be5f778d8fab9bac847acfa26470e9322b0a99efed03dc3c9280064a6a19"
+    known = {x for cmap in L._conj for x, t in enumerate(cmap) if x and t >= 0}
+    assert known and all(L.level(x) in L._complete for x in known)
+    # alt:4 (123) is one class: no block starts, so no full states and no
+    # conjugates
     A = build_builtin("alt:4")
     u = u_gamma(A, make_gamma(A, [el(A, "(123)")]))
     L = OrbitLattice(A)
@@ -734,7 +761,11 @@ def test_classes_at_after_class_of_history_matches_a_fresh_lattice():
             for v in class_of_history(G, nu, 2):
                 lat.class_of(v)
         built = L.node_count()
-        assert all(cmap[x] < 0 for cmap in L._conj for x in range(1, built))
+        # the history transports only the complete levels it reaches for
+        # full states; the classes it closes elsewhere carry no conjugates
+        lazy = [(cmap, x) for cmap in L._conj for x in range(1, built) if cmap[x] < 0]
+        assert lazy and all(L.level(x) in L._complete
+                            for cmap in L._conj for x in range(1, built) if cmap[x] >= 0)
         assert ([node_record(L, x) for x in L.classes_at(nu)]
                 == [node_record(ref, x) for x in ref.classes_at(nu)]
                 == [node_record(f, x) for f in [OrbitLattice(G)] for x in f.classes_at(nu)])
@@ -742,7 +773,7 @@ def test_classes_at_after_class_of_history_matches_a_fresh_lattice():
         assert ({node_record(L, x) for x in range(L.node_count())}
                 == {node_record(ref, x) for x in range(ref.node_count())})
         # conjugates of old classes were found
-        assert any(cmap[x] >= 0 for cmap in L._conj for x in range(1, built))
+        assert any(cmap[x] >= 0 for cmap, x in lazy)
         assert {len(x) for x in node_lists(L)} == {L.node_count()}
         assert_memo_matches_states(L, G)
 
@@ -752,14 +783,13 @@ def test_classes_at_closes_one_class_per_conjugation_orbit(monkeypatch):
     # classes_at makes is transported across its whole orbit, built members
     # included, so no two closed classes are conjugate
     closed = []
-    inner = OrbitLattice._add_orbit
+    inner = OrbitLattice._transport
 
-    def recording(self, *args):
-        top = inner(self, *args)
+    def recording(self, top):
         closed.append(top // self._n)
-        return top
+        inner(self, top)
 
-    monkeypatch.setattr(OrbitLattice, "_add_orbit", recording)
+    monkeypatch.setattr(OrbitLattice, "_transport", recording)
     for spec, nu in (("sym:3", (0, 5, 5)), ("alt:4", (0, 3, 3, 0)), ("quaternion:8", (0, 2, 2, 2, 1))):
         G = build_builtin(spec)
         L, ref = OrbitLattice(G), closure_only(G)

@@ -447,9 +447,10 @@ def test_a_group_keeps_only_its_tables_and_lattice(name, reps):
     stable_equivalent(G, u.vector, u.vector, u, window=1)
     h2_structure(G, gam, window=2)
     get_lattice(G).classes_at(u.nu)
-    assert fields == {"order", "mul", "names", "label", "inv", "_conj_table", "_classes",
-                      "_orders"}
-    assert set(vars(G)) == fields | {"_lattice"}
+    # the derived tables are cached properties, stored under their own
+    # names on first use
+    assert fields == {"order", "mul", "names", "label", "inv"}
+    assert set(vars(G)) == fields | {"conj_table", "classes", "element_orders", "_lattice"}
 
 
 def test_warm_false_verdict_is_a_lookup(monkeypatch):
