@@ -255,7 +255,12 @@ def braid_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
         if generated_subgroup(G, v).bits != generated_subgroup(G, w).bits:
             return False
         return w in _closure(G, v, caps.orbit_states, target=w)
-    return L.class_of(v) == L.class_of(w)
+    # find has checked both tuples: a miss folds from the empty class
+    if x < 0:
+        x = L.append_word(0, v)
+    if y < 0:
+        y = L.append_word(0, w)
+    return x == y
 
 
 def _check_method(method: str) -> None:

@@ -89,8 +89,8 @@ per letter.  A cold `class_of` of a random 300-letter sym:3 tuple (entries
 0-5, `random.Random(1)`) builds 35,037 nodes in 0.3 s with `_new_class`
 nested 3 deep (11 frames at most), where the lattice of every sub-level hit
 the 2M-node cap at letter 248; the package leaves the recursion limit alone.
-`classes_at`, `_insert`, `_conj_of` and the canonical representatives go
-one step per level or per letter, and walk their chains in loops.
+`classes_at`, `_insert` and the canonical representatives go one step per
+level or per letter, and walk their chains in loops.
 
 A row costs 8 * n bytes whatever its fill.  Lattices built level by level
 fill most of it, so the table takes far less than a dict keyed by state; a
@@ -101,25 +101,25 @@ the complete levels below it.
 Simultaneous conjugation by an element s of G commutes with the braid
 moves and keeps class ids, so it permutes the classes of every level: the
 states (c, a) of a class X map to the states (c^s, a^s) of X^s, which has
-X's size and level.  One rule uses this *transport*: a complete level is
-closed under conjugation, so when `_complete_level`, the one loop that
-completes a level, closes a class, it then builds the rest of the class's
-orbit under conjugation by the non-central elements of a generating set
-without a closure (`_transport`).  That holds whoever asked for the level:
-`classes_at`, or a closure that reads the full states or heads of a level.
-Every other build closes the one class it is asked for, since sparse
-requests would pay for conjugates nobody asked for.  Each conjugate is added
-as soon as its states are mapped, one class at a time through `_add_node`,
-so the lattice is consistent after every class and a cap error leaves the
-classes added before it, each one complete.  A transported class lies on a
-level whose staircase below is complete, and complete levels are closed
-under conjugation, so the conjugates of its prefixes are all built.  The
-conjugates are kept in one map per generator, `_conj[i]`, from node to the
-conjugate's row base (again the `_bases` object, so 8 bytes per generator
-per node: 16 for sym:3 and alt:4, none for an abelian group, which has no
-non-central generator) or -1 while unknown; a class built before its level
-was completed gets its conjugate when a transport first needs it, through
-one of its states.
+X's size and level.  One rule uses this *transport*: every class on a
+complete level knows its conjugate under each non-central element of a
+generating set.  `_complete_level`, the one loop that completes a level,
+keeps the rule whoever asked for the level (`classes_at`, or a closure that
+reads the full states or heads of a level): it transports each class it
+closes, building the rest of the class's orbit under conjugation without a
+closure (`_transport`), and once the level is built it transports the
+classes closed before it, which only reads slots.  Every other build closes
+the one class it is asked for, since sparse requests would pay for
+conjugates nobody asked for.  Each conjugate is added as soon as its states
+are mapped, one class at a time through `_add_node`, so the lattice is
+consistent after every class and a cap error leaves the classes added
+before it, each one complete.  A transported class lies on a level whose
+staircase below is complete, so the rule gives the conjugates of its
+prefixes.  The conjugates are kept in one map per generator, `_conj[i]`,
+from node to the conjugate's row base (again the `_bases` object, so 8
+bytes per generator per node: 16 for sym:3 and alt:4, none for an abelian
+group, which has no non-central generator) or -1 while unknown, as on a
+class that no complete level holds.
 
 Stabiliser words are appended over and over (stability searches,
 stable-equivalence verdicts, homology shifts), so their append maps are
@@ -458,20 +458,23 @@ class OrbitLattice:
 
     def _transport(self, top: int) -> None:
         """Add every unbuilt class of the conjugation orbit of the class with
-        row base ``top``, found by transport.
+        row base ``top``, found by transport, and store every member's
+        conjugates.
 
         A breadth-first search over the orbit.  A member whose conjugate is
         unknown reads the conjugate's slot through its first state; if that
         class is unbuilt, the member's states are mapped and the conjugate
         is added at once.  Built conjugates are searched too, so an orbit
-        left partial by `class_of` is finished here.  Each class is complete
-        when added: a cap error leaves the classes added before it, as the
-        closure path leaves the prefix classes it built.
+        left partial by `class_of` is finished here.  The members' prefixes
+        lie on the complete level below, whose conjugates are all known
+        (`_complete_level`); an unknown one raises RuntimeError rather than
+        read the table at -1.  Each class is complete when added: a cap
+        error leaves the classes added before it, as the closure path
+        leaves the prefix classes it built.
         """
         n = self._n
         nxt = self._next
         pre_of, let_of = self._pre, self._let
-        conj_of = self._conj_of
         level = self._level[top // n]
         members = [top]
         seen = {top}
@@ -484,14 +487,14 @@ class OrbitLattice:
                     c, a = pre_of[x][0] // n, let_of[x][0]
                     cs = cmap[c]
                     if cs < 0:
-                        cs = conj_of(fs, cmap, c)
+                        raise RuntimeError(f"conjugate of node {c} is unknown")
                     t = nxt[cs + fs[a]]
                     if t < 0:
                         image = []
                         for q, b in zip(pre_of[x], let_of[x]):
                             qs = cmap[q // n]
                             if qs < 0:
-                                qs = conj_of(fs, cmap, q // n)
+                                raise RuntimeError(f"conjugate of node {q // n} is unknown")
                             image.append(qs + fs[b])
                         image.sort()
                         t = self._add_node(image, fs[self._ev[x]],
@@ -501,30 +504,6 @@ class OrbitLattice:
                 if t not in seen:
                     seen.add(t)
                     members.append(t)
-
-    def _conj_of(self, fs: tuple[int, ...], cmap: list[int], x: int) -> int:
-        """Row base of the conjugate of node ``x`` under the conjugation
-        ``fs``, whose node map is ``cmap``.
-
-        A missing entry is found through the node's first state (c, a): the
-        conjugate is the class of rep(c^s) + (a^s), down the chain of first
-        states to a known conjugate.  Only the prefixes of a class being
-        transported come here, and they lie on a complete level, which is
-        closed under conjugation, so every conjugate on the chain is built;
-        one that is not raises RuntimeError rather than store -1.
-        """
-        n = self._n
-        chain = []
-        t = cmap[x]
-        while t < 0:
-            chain.append(x)
-            x = self._pre[x][0] // n
-            t = cmap[x]
-        for x in reversed(chain):
-            cmap[x] = t = self._next[t + fs[self._let[x][0]]]
-            if t < 0:
-                raise RuntimeError(f"conjugate of a prefix of node {x} is unbuilt")
-        return t
 
     def append_word(self, node: int, word: tuple[int, ...]) -> int:
         """Class of rep(node) + word: the table fold, one letter at a time.
@@ -631,7 +610,9 @@ class OrbitLattice:
         the staircase of nu, and each level of it is memoised.  A complete
         level is closed under conjugation, so each class closed here is
         transported across its orbit (`_transport`), and the loop then meets
-        its conjugates built.
+        its conjugates built.  Before a level is memoised, the classes that
+        were closed before it was complete are transported too, so every
+        class of a memoised level knows its conjugates.
         """
         memo = self._complete
         hit = memo.get(nu)
@@ -643,7 +624,7 @@ class OrbitLattice:
             chain.append((nu, pivot))
             nu = nu[:pivot] + (nu[pivot] - 1,) + nu[pivot + 1 :]
             hit = memo.get(nu)
-        n, nxt, canon = self._n, self._next, self._canon
+        n, nxt, canon, conj = self._n, self._next, self._canon, self._conj
         for nu, pivot in reversed(chain):
             members = self._members[pivot]
             found = set()
@@ -655,6 +636,16 @@ class OrbitLattice:
                         t = self._new_class(base, g)
                         self._transport(t)
                     found.add(t // n)
+            # the classes closed before the level was complete learn their
+            # conjugates now; every class of the level is built, so this
+            # only reads slots.  A transport fills every member of the orbit
+            # it searches, and one cut short by the cap leaves a member
+            # unbuilt or without its first conjugate, so one map tells
+            if conj:
+                known = conj[0]
+                for x in found:
+                    if known[x] < 0:
+                        self._transport(x * n)
             # on one block the canonical representatives are at hand, and
             # the next level is built in their order
             hit = memo[nu] = tuple(sorted(found, key=canon.__getitem__)

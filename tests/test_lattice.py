@@ -21,6 +21,7 @@ from hurwitz import (
     build_builtin,
     enumerate_classes,
     find_stability_bound,
+    h2_structure,
     make_gamma,
     orbit,
     orbit_members,
@@ -725,16 +726,20 @@ def test_class_of_builds_are_unchanged_by_transport():
     assert all(x < 0 for cmap in L._conj for x in cmap[1:])
 
 
-def test_conjugate_of_a_sparse_prefix_raises(s3):
-    # transport reads the conjugates of a class's prefixes off the table,
-    # which holds them on complete levels; a prefix class that class_of
-    # built alone has no conjugate there, and the lookup raises rather
-    # than store -1 as a row base
+def test_an_unknown_prefix_conjugate_raises(s3):
+    # transport reads the conjugates of a class's prefixes off the complete
+    # level below, where every class knows them; an entry lost there raises
+    # naming the node rather than read the table at -1, and the node lists
+    # stay in step
     L = OrbitLattice(s3)
-    x = L.class_of((1, 1))
-    i = next(i for i, fs in enumerate(L._gens) if fs[1] != 1)
-    with pytest.raises(RuntimeError, match="unbuilt"):
-        L._conj_of(L._gens[i], L._conj[i], x)
+    below = L.classes_at((0, 2, 2))
+    for cmap in L._conj:
+        for x in below:
+            cmap[x] = -1
+    with pytest.raises(RuntimeError, match=r"conjugate of node \d+ is unknown") as exc:
+        L.classes_at((0, 3, 2))
+    assert int(re.search(r"\d+", str(exc.value)).group()) in below
+    assert {len(x) for x in node_lists(L)} == {L.node_count()}
 
 
 def class_of_history(G, nu, seed, count=12):
@@ -749,12 +754,15 @@ def class_of_history(G, nu, seed, count=12):
     return out
 
 
+HISTORY_LEVELS = (("sym:3", (0, 5, 5)), ("alt:4", (0, 3, 3, 0)), ("quaternion:8", (0, 2, 2, 2, 1)))
+
+
 def test_classes_at_after_class_of_history_matches_a_fresh_lattice():
     # classes built by class_of carry no conjugates; a later classes_at
-    # finds them through one state each, and ends with the node set of a
+    # transports them once their level is complete, and ends with the node set of a
     # lattice that closes every class and the answers of a lattice without
     # that history
-    for spec, nu in (("sym:3", (0, 5, 5)), ("alt:4", (0, 3, 3, 0)), ("quaternion:8", (0, 2, 2, 2, 1))):
+    for spec, nu in HISTORY_LEVELS:
         G = build_builtin(spec)
         L, ref = OrbitLattice(G), closure_only(G)
         for lat in (L, ref):
@@ -790,7 +798,7 @@ def test_classes_at_closes_one_class_per_conjugation_orbit(monkeypatch):
         inner(self, top)
 
     monkeypatch.setattr(OrbitLattice, "_transport", recording)
-    for spec, nu in (("sym:3", (0, 5, 5)), ("alt:4", (0, 3, 3, 0)), ("quaternion:8", (0, 2, 2, 2, 1))):
+    for spec, nu in HISTORY_LEVELS:
         G = build_builtin(spec)
         L, ref = OrbitLattice(G), closure_only(G)
         for v in class_of_history(G, nu, 2):
@@ -801,6 +809,39 @@ def test_classes_at_closes_one_class_per_conjugation_orbit(monkeypatch):
         orbits = [frozenset(ref.class_of(tuple(conj[g][s] for g in L.canonical(x))) for s in range(G.order))
                   for x in closed]
         assert len(closed) > 1 and len(set(orbits)) == len(orbits)
+
+
+def complete_levels_know_every_conjugate(L):
+    return all(cmap[x] >= 0 for level in L._complete.values() for cmap in L._conj for x in level)
+
+
+def assert_complete_levels_know_every_conjugate(G, L):
+    assert complete_levels_know_every_conjugate(L)
+    n = G.order
+    fresh = OrbitLattice(G)
+    for fs, cmap in zip(L._gens, L._conj):
+        for x, t in enumerate(cmap):
+            if t >= 0:
+                image = tuple(fs[a] for a in L.canonical(x))
+                assert fresh.class_of(image) == fresh.class_of(L.canonical(t // n))
+
+
+def test_complete_levels_know_every_conjugate():
+    # every class on a memoised complete level knows its conjugate under
+    # every generator, whatever closed it: an h2 search, or a class_of
+    # history followed by classes_at
+    G = build_builtin("sym:4")
+    h2_structure(G, make_gamma(G, "all-nontrivial"), window=2)
+    L = get_lattice(G)
+    assert L.node_count() == 7320
+    assert_complete_levels_know_every_conjugate(G, L)
+    for spec, nu in HISTORY_LEVELS:
+        G = build_builtin(spec)
+        L = OrbitLattice(G)
+        for v in class_of_history(G, nu, 2):
+            L.class_of(v)
+        L.classes_at(nu)
+        assert_complete_levels_know_every_conjugate(G, L)
 
 
 @pytest.mark.parametrize("history", [False, True])
@@ -840,5 +881,6 @@ def test_cap_inside_an_orbit_stops_at_the_cap(history):
         assert_memo_matches_states(L, G)
         L.limit_new_nodes(10**6)
         assert [node_record(L, x) for x in L.classes_at(nu)] == want
+        assert complete_levels_know_every_conjugate(L)
         assert L.node_count() == total
         assert {node_record(L, x) for x in range(total)} == expected
