@@ -52,13 +52,13 @@ def main(argv=None):
 
     for config in args.configs:
         group, _, gamma = config.rpartition(":")
-        t0 = time.time()
+        t0 = time.perf_counter()
         code, out, err = run_cli(["h2", f"--group={group}", f"--gamma={gamma}",
                                   f"--window={args.window}", f"--caps={args.caps or ''}",
                                   "--structure", "--format", "jsonl"])
         if code == 0:
             record = json.loads(out)
-            record.update(group=group, gamma=gamma, seconds=round(time.time() - t0, 2))
+            record.update(group=group, gamma=gamma, seconds=round(time.perf_counter() - t0, 2))
         else:
             record = {"group": group, "gamma": gamma, "error": err.strip()}
         print(json.dumps(record, sort_keys=True))

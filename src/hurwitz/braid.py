@@ -426,20 +426,20 @@ def enumerate_classes(G: FiniteGroup, spec: FiberSpec, caps: Caps = DEFAULT_CAPS
     ``method="direct"`` walks the raw fiber with visited-member marking and
     is bounded by ``caps``; ``method="lattice"`` (default) builds the same
     classes through the shared lattice and scales to fibers far beyond
-    direct reach.  Both return classes sorted by canonical representative.
+    direct reach.  Either way the list is sorted here, once, by canonical
+    representative: neither the lattice's complete sets nor the fiber walk
+    has an order of its own.
     """
     _check_method(method)
     spec.validate(G)
     if method == "direct":
-        return _enumerate_direct(G, spec, caps)
-    L = get_lattice(G, caps)
-    out = []
-    for node in L.classes_at(spec.nu):
-        if spec.ev is not None and L.ev(node) != spec.ev:
-            continue
-        if not _matches_generated(spec, L.sub_bits(node)):
-            continue
-        out.append(L.orbit_class(node))
+        out = _enumerate_direct(G, spec, caps)
+    else:
+        L = get_lattice(G, caps)
+        out = [L.orbit_class(node) for node in L.classes_at(spec.nu)
+               if (spec.ev is None or L.ev(node) == spec.ev)
+               and _matches_generated(spec, L.sub_bits(node))]
+    out.sort(key=lambda c: c.canonical)
     return out
 
 
@@ -458,7 +458,6 @@ def _enumerate_direct(G: FiniteGroup, spec: FiberSpec, caps: Caps) -> list[Orbit
         cls = _class_from_members(G, members)
         if _matches_generated(spec, cls.subgroup.bits):
             out.append(cls)
-    out.sort(key=lambda c: c.canonical)
     return out
 
 

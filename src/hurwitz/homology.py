@@ -78,7 +78,7 @@ class TorsorContext:
     lattice: OrbitLattice
     level: tuple[int, ...]
     shift: tuple[int, ...]  # s: x . y is the z with z + s ~ x + y
-    elements: tuple[TorsorElement, ...]
+    elements: tuple[TorsorElement, ...]  # by canonical representative
     base: TorsorElement
     _shifted: dict[int, TorsorElement]  # node of x + s -> x
 
@@ -166,8 +166,10 @@ def _torsor(L: OrbitLattice, level: tuple[int, ...], shift: tuple[int, ...],
             nodes: tuple[int, ...]) -> TorsorContext:
     """The identity-evaluation classes among ``nodes``, composed with shift
     ``shift``; HomologyError unless composition is well defined and has
-    exactly one idempotent."""
-    elements = tuple(TorsorElement(L.orbit_class(x), x) for x in nodes if L.ev(x) == 0)
+    exactly one idempotent.  The elements are listed by canonical
+    representative, whatever order ``nodes`` comes in."""
+    elements = tuple(sorted((TorsorElement(L.orbit_class(x), x) for x in nodes if L.ev(x) == 0),
+                            key=lambda el: el.cls.canonical))
     shifted: dict[int, TorsorElement] = {}
     for el in elements:
         if shifted.setdefault(L.shift(el.node, shift), el) is not el:

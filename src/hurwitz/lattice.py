@@ -66,13 +66,16 @@ unfilled slot, so a query on built classes and filled slots is lookups only.
 `append_word`; the inner folds take only node ids and checked words.
 Complete class sets per Nielsen type come from extending the complete sets
 one level below by the class that ends the last block, so the chain of
-`classes_at` is the staircase.
+`classes_at` is the staircase.  A complete set has no order: the counts,
+generating classes and append maps read off it do not need one, and the
+callers that list classes (`enumerate_classes`, the torsor's elements) sort
+them by canonical representative.
 
 Canonical representatives are the lexicographically least arrangement,
 sorted or not.  On a level of one block every arrangement is sorted and
 canon(X) = min over states (c, a) of canon(c) + (a,), computed as a node is
-added.  On several blocks they are computed on first use (`canonical`,
-`classes_at`): sigma brings any entry to the front unchanged, so
+added.  On several blocks they are computed on first use (`canonical`):
+sigma brings any entry to the front unchanged, so
 canon(X) = (a,) + min canon(T) over the classes T with (a,) + rep(T) in X,
 where a is the least letter X shows.  That letter is X's least last letter
 when it is the least member of its class, since class ids follow least
@@ -540,7 +543,8 @@ class OrbitLattice:
 
         The domain is the classes at ``nu`` whose subgroup contains ``sub``
         (a subgroup's bits, not necessarily the one ``word`` generates), in
-        `classes_at` order; images are parallel to it.
+        the order of `classes_at`, which is none in particular; images are
+        parallel to it.
         """
         key = (word, nu, sub)
         hit = self._level_shifts.get(key)
@@ -582,8 +586,10 @@ class OrbitLattice:
         return node if node >= 0 else self.append_word(0, v)
 
     def classes_at(self, nu: tuple[int, ...]) -> tuple[int, ...]:
-        """Complete class set at a Nielsen level, sorted by canonical rep.
+        """Complete class set at a Nielsen level, in no particular order.
 
+        The memoised set of `_complete_level` as it stands; it computes no
+        canonical representative, and callers that list classes sort them.
         A level must hold non-negative ints, or ValueError names the first
         entry that does not (1.5 would walk the chain below zero), before
         the memo is read: True and 1.0 equal 1 as keys.
@@ -592,18 +598,10 @@ class OrbitLattice:
         if len(nu) != self._nclasses:
             raise ValueError(f"level has {len(nu)} entries, group has {self._nclasses} classes")
         _check_counts(nu, "level")
-        hit = self._complete_level(nu)
-        if nu.count(0) == len(nu) - 1:
-            return hit  # one block: sorted already
-        canon = self._canon
-        for x in hit:
-            if canon[x] is None:
-                self._canonical_word(x)
-        return tuple(sorted(hit, key=canon.__getitem__))
+        return self._complete_level(nu)
 
     def _complete_level(self, nu: tuple[int, ...]) -> tuple[int, ...]:
-        """Complete class set at ``nu``: sorted by canonical representative
-        on one block, in set order on several.
+        """Complete class set at ``nu``, in set order: no particular order.
 
         The set at nu extends the one at nu - e_p by the members of class p,
         the first class nu counts, which ends the last block: the chain is
@@ -624,7 +622,7 @@ class OrbitLattice:
             chain.append((nu, pivot))
             nu = nu[:pivot] + (nu[pivot] - 1,) + nu[pivot + 1 :]
             hit = memo.get(nu)
-        n, nxt, canon, conj = self._n, self._next, self._canon, self._conj
+        n, nxt, conj = self._n, self._next, self._conj
         for nu, pivot in reversed(chain):
             members = self._members[pivot]
             found = set()
@@ -646,10 +644,7 @@ class OrbitLattice:
                 for x in found:
                     if known[x] < 0:
                         self._transport(x * n)
-            # on one block the canonical representatives are at hand, and
-            # the next level is built in their order
-            hit = memo[nu] = tuple(sorted(found, key=canon.__getitem__)
-                                   if nu.count(0) == len(nu) - 1 else found)
+            hit = memo[nu] = tuple(found)
         return hit
 
     # -- canonical representatives ----------------------------------------------

@@ -122,7 +122,7 @@ def find_stability_bound(G: FiniteGroup, gamma: GammaSet,
                          window: int = DEFAULT_WINDOW,
                          confirm: int = DEFAULT_CONFIRM,
                          caps: Caps = DEFAULT_CAPS) -> StabilityReport:
-    """Explore levels nu0 + n * nu(u_gamma) and find where appends bijject.
+    """Explore levels nu0 + n * nu(u_gamma) and find where appends biject.
 
     Counts cover all classes at each level; the append maps are judged on
     the classes generating the whole group (appending u_gamma lands there
@@ -321,22 +321,19 @@ def factor_witness(G: FiniteGroup, w: tuple[int, ...], u: tuple[int, ...],
                    caps: Caps = DEFAULT_CAPS) -> tuple[int, ...] | None:
     """Find a generating v with w braid equivalent to v + u, if one exists.
 
+    Returns the least canonical representative among the witnesses.
     Raises ValueError, before building anything, if ``w`` or ``u`` holds an
-    entry that is no element index.
+    entry that is no element index; returns None, building nothing, if u
+    has more entries of some class than w.
     """
     for t in (w, u):
         _check_entries(t, G.order)
-    L = get_lattice(G, caps)
-    target = L.class_of(w)
-    nu_w = nielsen(G, w)
-    nu_u = nielsen(G, u)
-    nu_v = tuple(a - b for a, b in zip(nu_w, nu_u))
+    nu_v = tuple(a - b for a, b in zip(nielsen(G, w), nielsen(G, u)))
     if any(c < 0 for c in nu_v):
         return None
+    L = get_lattice(G, caps)
+    target = L.class_of(w)
     full = (1 << G.order) - 1
-    for cand in L.classes_at(nu_v):
-        if L.sub_bits(cand) != full:
-            continue
-        if L.shift(cand, tuple(u)) == target:
-            return L.canonical(cand)
-    return None
+    witnesses = [L.canonical(cand) for cand in L.classes_at(nu_v)
+                 if L.sub_bits(cand) == full and L.shift(cand, tuple(u)) == target]
+    return min(witnesses, default=None)

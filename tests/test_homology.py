@@ -192,6 +192,25 @@ def test_torsor_needs_exactly_one_idempotent(a4_torsor):
         hurwitz.homology._torsor(L, level, a4_torsor.shift[:len(a4_torsor.shift) // 2], nodes)
 
 
+def test_torsor_elements_are_listed_by_canonical_representative():
+    # a class_of history that builds the stable level first, greatest
+    # canonical member first, leaves the level's identity-evaluation classes
+    # out of canonical order; the torsor lists them by canonical
+    # representative all the same
+    ref = build_builtin("alt:4")
+    level = torsor_group(ref, make_gamma(ref, [ref.index_of("(123)")]), window=2).level
+    R = get_lattice(ref)
+    G = build_builtin("alt:4")
+    L = get_lattice(G)
+    for rep in sorted((R.canonical(x) for x in R.classes_at(level)), reverse=True):
+        L.class_of(rep)
+    ctx = torsor_group(G, make_gamma(G, [G.index_of("(123)")]), window=2)
+    full = (1 << G.order) - 1
+    built = [L.canonical(x) for x in L.classes_at(level) if L.ev(x) == 0 and L.sub_bits(x) == full]
+    assert built != sorted(built)
+    assert [e.cls.canonical for e in ctx.elements] == sorted(built)
+
+
 def test_torsor_base_point_properties(s3, s3_all):
     ctx = torsor_group(s3, s3_all, window=3)
     assert ctx.base.cls.ev == 0

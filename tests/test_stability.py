@@ -271,10 +271,43 @@ def test_factor_witness_exists_when_nielsen_dominates(s3, s3_transpositions):
         assert v is not None
         assert subgroup_closure(s3, v).bits == (1 << s3.order) - 1
         assert braid_equivalent(s3, w, v + u)
+        # the least canonical representative among all witnesses
+        witnesses = [L.canonical(x) for x in L.classes_at((0, 6, 0))
+                     if L.sub_bits(x) == full and L.shift(x, u) == node]
+        assert v == min(witnesses)
 
 
 def test_factor_witness_none_when_nielsen_too_small(s3):
     assert factor_witness(s3, (el(s3, "(12)"),), (el(s3, "(123)"),)) is None
+
+
+def test_factor_witness_checks_the_types_before_it_builds():
+    # u holds more 3-cycles than w, so no v exists; the class of w, 71 nodes
+    # on a fresh lattice, was once built before the types were compared
+    G = build_builtin("sym:3")
+    L = get_lattice(G)
+    assert factor_witness(G, (1, 2, 1, 2, 1, 2, 3, 4, 5, 1, 2), (3, 4, 5, 3, 4, 5)) is None
+    assert L.node_count() == 1
+
+
+@pytest.mark.parametrize("spec, names", [
+    ("sym:3", "all-nontrivial"),
+    ("dihedral:4", "all-nontrivial"),
+    ("quaternion:8", "all-nontrivial"),
+    ("alt:4", ["(123)", "(132)"]),
+])
+def test_stability_search_computes_no_canonical_representative(spec, names):
+    # counts, generating sets and append maps need no order, so the search
+    # leaves the canonical representatives of levels of several blocks
+    # uncomputed (one block gets them as its nodes are added).  sym:4 all at
+    # window 2 shows the same, but builds 254,324 nodes along the u_gamma
+    # ray, where these build 12,716 together
+    G = build_builtin(spec)
+    gam = make_gamma(G, names if isinstance(names, str) else [el(G, x) for x in names])
+    find_stability_bound(G, gam, None, 2, 1)
+    L = get_lattice(G)
+    several = [x for x in range(L.node_count()) if sum(map(bool, L.level(x))) > 1]
+    assert several and all(L._canon[x] is None for x in several)
 
 
 @pytest.mark.parametrize("bad", [(1, -1), (1, 7), (1, True), (1, 1.0)])
