@@ -54,7 +54,7 @@ def main(argv=None):
     rows = []
     for config in args.configs:
         group, _, gamma = config.rpartition(":")
-        t0 = time.time()
+        t0 = time.perf_counter()
         _, out, err = run_cli(["stability", f"--group={group}", f"--gamma={gamma}",
                                f"--window={args.window}", f"--confirm={args.confirm}",
                                f"--caps={args.caps or ''}", "--format", "jsonl"])
@@ -70,7 +70,7 @@ def main(argv=None):
             "confident": summary["confident"],
             "stable_count": next((lv["count"] for lv in levels if lv["n"] == bound), None),
             "uniform_floor": summary["uniform_floor"],
-            "seconds": round(time.time() - t0, 2),
+            "seconds": round(time.perf_counter() - t0, 2),
         })
         if bound is not None:
             worst = bound if worst is None else max(worst, bound)

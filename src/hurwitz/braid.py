@@ -27,7 +27,8 @@ with `iter_fiber_tuples`; with the evaluation pinned, the last entry of a
 tuple is forced (it is the inverse of the prefix's product times the
 evaluation), so it is computed, not searched.
 Both paths reject a tuple entry that is no element index with ValueError
-before any shortcut; the lattice path checks entries inside its lookup fold.
+before any shortcut; the lattice path checks entries in its lookup, whose
+index answers only a tuple of exact ints identified before.
 """
 
 from __future__ import annotations
@@ -226,12 +227,15 @@ def braid_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     Both paths first raise ValueError if either tuple holds an entry that is
     no element index.  The lattice path does so by looking both tuples up
     (`OrbitLattice.find`), and a pair whose classes are both built is
-    decided by class id alone.  Otherwise invariant prefilters (length,
+    decided by class id alone: a tuple identified before costs one probe of
+    the lattice's index.  Otherwise invariant prefilters (length,
     evaluation, Nielsen type) short-circuit before any orbit work or any
-    node is built.  The direct path also compares generated subgroups
-    before its search.  The lattice path needs no subgroup prefilter,
-    because each class stores its subgroup; on a cold lattice a pair whose
-    subgroups differ therefore builds both classes before it returns False.
+    node is built, and a tuple still unbuilt is identified by the fold of
+    its braid-sorted member (`OrbitLattice._identify`).  The direct path
+    also compares generated subgroups before its search.  The lattice path
+    needs no subgroup prefilter, because each class stores its subgroup; on
+    a cold lattice a pair whose subgroups differ therefore builds both
+    classes before it returns False.
     """
     _check_method(method)
     if method == "lattice":
@@ -255,11 +259,11 @@ def braid_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
         if generated_subgroup(G, v).bits != generated_subgroup(G, w).bits:
             return False
         return w in _closure(G, v, caps.orbit_states, target=w)
-    # find has checked both tuples: a miss folds from the empty class
+    # find has checked both tuples
     if x < 0:
-        x = L.append_word(0, v)
+        x = L._identify(v)
     if y < 0:
-        y = L.append_word(0, w)
+        y = L._identify(w)
     return x == y
 
 

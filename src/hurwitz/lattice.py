@@ -59,11 +59,21 @@ order as two fields: `_pre`, a tuple of the prefix row bases (again the
 order 256, the split that canonical representatives make).  Equivalence of
 two tuples, in any order, is therefore a fold of one-letter appends followed
 by an id comparison.  `append_word` is that fold: one list subscript per
-letter, a call only on a miss.  `find` is the same fold from the empty class
-with each entry range-checked, building nothing: it returns -1 at the first
-unfilled slot, so a query on built classes and filled slots is lookups only.
-`class_of`, the checked entry for tuples, is `find` and, on a miss,
-`append_word`; the inner folds take only node ids and checked words.
+letter, a call only on a miss.  A public tuple is braid-sorted before it is
+folded (`_sort`: each letter moves left past the later blocks, conjugating
+what it passes, as in `_insert`), so its own fold takes no insertion slot,
+and it builds the staircase of its sorted member, not a class per raw
+prefix.  `find` checks the entries, sorts and folds from the empty class,
+building nothing; since every state of a built class is a filled slot, it
+returns -1 exactly when the class is unbuilt.  `class_of`, the checked entry
+for tuples, is `find` and, on a miss, the build of the sorted fold
+(`_identify`, which the lattice paths of `braid_equivalent` and
+`stable_equivalent` call after their own `find`).  Both index every tuple
+they identify, so a repeated query is one dict probe, taken only when every
+entry is exactly an int.  Insertion slots are filled by the words appended
+to a built node unsorted (stabilisers in `shift`, the torsor's compositions)
+and by the full states and heads (`_invert`); the inner folds take only node
+ids and checked words.
 Complete class sets per Nielsen type come from extending the complete sets
 one level below by the class that ends the last block, so the chain of
 `classes_at` is the staircase.  A complete set has no order: the counts,
@@ -89,11 +99,13 @@ entries commute is every arrangement of its sorted member.
 `_new_class` is the one recursion: a closure that meets an unbuilt prefix
 class builds it first, so it nests once per missing lower class, not once
 per letter.  A cold `class_of` of a random 300-letter sym:3 tuple (entries
-0-5, `random.Random(1)`) builds 35,037 nodes in 0.3 s with `_new_class`
-nested 3 deep (11 frames at most), where the lattice of every sub-level hit
-the 2M-node cap at letter 248; the package leaves the recursion limit alone.
-`classes_at`, `_insert` and the canonical representatives go one step per
-level or per letter, and walk their chains in loops.
+0-5, `random.Random(1)`) builds 7,014 nodes in 0.05-0.09 s, where a fold of
+the raw tuple, filling the insertion slot of every prefix, builds 35,037.
+The sorted fold meets sibling classes missing down the last block, so
+`_new_class` nests 59 deep for it, about one level per three to five
+letters; the package leaves the recursion limit alone.  `classes_at`,
+`_insert` and the canonical representatives go one step per level or per
+letter, and walk their chains in loops.
 
 A row costs 8 * n bytes whatever its fill.  Lattices built level by level
 fill most of it, so the table takes far less than a dict keyed by state; a
@@ -137,6 +149,9 @@ from .braid import Caps, DEFAULT_CAPS, OrbitClass, _check_counts, _check_entries
 from .errors import CapExceeded
 from .groups import FiniteGroup, SubgroupMask, closure_bits
 
+# True when every entry's type is exactly int, at C speed
+_only_ints = frozenset({int}).issuperset
+
 
 class OrbitLattice:
     def __init__(self, G: FiniteGroup):
@@ -160,6 +175,9 @@ class OrbitLattice:
         self._pre: list[tuple[int, ...]] = []  # prefix row bases c * n
         self._let: list = []  # last letters a
         self._size: list[int] = []
+        # one int object per distinct size: sizes repeat across conjugation
+        # orbits and levels
+        self._sizes: dict[int, int] = {}
         self._ev: list[int] = []
         self._sub: list[int] = []
         self._level: list[tuple[int, ...]] = []  # interned through _levels
@@ -182,6 +200,8 @@ class OrbitLattice:
         # (word, level, subgroup) -> (domain classes, their images)
         self._shifts: dict[tuple[int, ...], dict[int, int]] = {}
         self._level_shifts: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        # every tuple identified by `find` or `class_of` -> its node
+        self._index: dict[tuple[int, ...], int] = {}
         # conjugation by the non-central elements of a generating set, taken
         # greedily (none for an abelian group): _gens[i][x] = x^s_i, and
         # _conj[i][node] is the row base of the node's conjugate by s_i, or
@@ -447,7 +467,7 @@ class OrbitLattice:
         bases.append(mine)
         self._pre.append(tuple(pre))
         self._let.append(self._word_of(let))
-        size.append(total)
+        size.append(self._sizes.setdefault(total, total))
         canon.append(best)
         self._ev.append(ev)
         self._sub.append(sub)
@@ -556,34 +576,69 @@ class OrbitLattice:
         return hit
 
     def find(self, v: tuple[int, ...]) -> int:
-        """Node of the class of ``v`` if it is built, else -1; builds nothing.
+        """Node of the class of ``v``, or -1 exactly when that class is
+        unbuilt; builds nothing.
 
-        The fold of `append_word` from the empty class, checking each entry
-        as it goes: an entry that is no element index (an int, not a bool or
-        a float, in [0, n)) raises ValueError naming its position and value.
-        A miss stops the fold at the first unbuilt class, and the rest of
-        ``v`` is checked before -1 is returned.
+        ``v`` is a tuple or list.  A tuple identified before is one probe of
+        the index, taken only when every entry is exactly an int: True and
+        1.0 hash and compare equal to 1.  Otherwise each entry is checked (an
+        entry that is no element index, an int in [0, n), raises ValueError
+        naming its position and value), and the braid-sorted tuple
+        (`_sort`) is folded through the table, stopping at the first unbuilt
+        class.  A class found is indexed under ``v``.
         """
-        nxt = self._next
+        key = tuple(v)
+        if _only_ints(map(type, key)):
+            hit = self._index.get(key)
+            if hit is not None:
+                return hit
         n = self._n
+        _check_entries(key, n)
+        nxt = self._next
         base = 0
-        for g in v:
-            if type(g) is not int or not 0 <= g < n:
-                break
+        for g in self._sort(key):
             base = nxt[base + g]
             if base < 0:
-                break
-        else:
-            return base // n
-        # a bad entry raises here; otherwise the fold met an unbuilt class
-        _check_entries(v, n)
-        return -1
+                return -1
+        node = self._index[key] = base // n
+        return node
 
     def class_of(self, v: tuple[int, ...]) -> int:
         """Identify the class of an arbitrary tuple: `find`, then, on a
-        miss, `append_word` from the empty class."""
+        miss, `_identify`."""
         node = self.find(v)
-        return node if node >= 0 else self.append_word(0, v)
+        return node if node >= 0 else self._identify(v)
+
+    def _identify(self, v: tuple[int, ...]) -> int:
+        """Build and index the class of a checked tuple that `find` missed.
+
+        The braid-sorted tuple is folded by `append_word` from the empty
+        class, so no slot on its way is an insertion.  A fold that raises
+        indexes nothing.
+        """
+        key = tuple(v)
+        node = self._index[key] = self.append_word(0, self._sort(key))
+        return node
+
+    def _sort(self, v: tuple[int, ...]) -> list[int]:
+        """A class-sorted tuple braided to the checked tuple ``v``.
+
+        sigma, left to right: each letter g moves left past every entry of a
+        later block (a lower class id), and each entry b it passes becomes
+        b^g, as in `_insert`; entries of one class keep their order.  Tuple
+        work only: no node is read or built.
+        """
+        cls, fwd_of, central = self._class_of, self._fwd, self._central
+        blocks = [[] for _ in range(self._nclasses)]
+        for g in v:
+            c = cls[g]
+            blocks[c].append(g)
+            if not central[g]:
+                fwd = fwd_of[g]
+                # class 0 is the identity's, which conjugation fixes
+                for k in range(1, c):
+                    blocks[k] = [fwd[b] for b in blocks[k]]
+        return [b for block in reversed(blocks) for b in block]
 
     def classes_at(self, nu: tuple[int, ...]) -> tuple[int, ...]:
         """Complete class set at a Nielsen level, in no particular order.

@@ -233,16 +233,18 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
                       caps: Caps = DEFAULT_CAPS) -> StableEqResult:
     """Decide whether v + u^l and w + u^l become braid equivalent.
 
-    Both tuples are first looked up (`OrbitLattice.find`), which raises
-    ValueError if either holds an entry that is no element index.  Nielsen
-    type and evaluation are append-invariant obstructions, so a mismatch is
-    an immediate, final "false": when both classes are built they are read
-    off the nodes, otherwise off the tuples, before any node is built.
-    Otherwise copies of ``u`` are appended; equality at any level settles
-    "true".  A "false" is emitted only once the explored appends past the
-    divergence are all injective on the enclosing class sets (with
-    ``confirm`` such levels), mirroring the empirical stability bound;
-    otherwise the result is indeterminate.
+    Both tuples are first looked up (`OrbitLattice.find`, one index probe
+    for a tuple identified before), which raises ValueError if either holds
+    an entry that is no element index.  Nielsen type and evaluation are
+    append-invariant obstructions, so a mismatch is an immediate, final
+    "false": when both classes are built they are read off the nodes,
+    otherwise off the tuples, before any node is built.  A class still
+    unbuilt is then built from the braid-sorted tuple
+    (`OrbitLattice._identify`), and copies of ``u`` are appended; equality
+    at any level settles "true".  A "false" is emitted only once the
+    explored appends past the divergence are all injective on the enclosing
+    class sets (with ``confirm`` such levels), mirroring the empirical
+    stability bound; otherwise the result is indeterminate.
     """
     _check_window(window, confirm)
     L = get_lattice(G, caps)
@@ -260,9 +262,9 @@ def stable_equivalent(G: FiniteGroup, v: tuple[int, ...], w: tuple[int, ...],
     if ev_v != ev_w:
         return StableEqResult(False, 0, "evaluation mismatch", window)
     if node_v < 0:
-        node_v = L.append_word(0, v)
+        node_v = L._identify(v)
     if node_w < 0:
-        node_w = L.append_word(0, w)
+        node_w = L._identify(w)
     if node_v == node_w:
         return StableEqResult(True, 0, "braid equivalent", window)
     for level in range(1, window + 1):
